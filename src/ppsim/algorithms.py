@@ -19,6 +19,7 @@ from .demod import DEFAULT_THRESHOLD, ModeStatusMatrix, mode_status_matrix
 from .errors import DimensionMismatchError, PeriodUnusableError
 from .fields import ClassicalField, canonical_inputs
 from .gates import (
+    BELL_VARIANTS,
     GateArray,
     PlacementTable,
     apply_mode_gate,
@@ -31,8 +32,8 @@ from .gates import (
 from .reconstruct import (
     SequencePermutation,
     SimulatedState,
-    cyclic_permutations,
     reconstruct,
+    usable_rotations,
 )
 from .sequences import PpsSet
 from .symbolic import SymbolicField, to_waveform
@@ -244,14 +245,8 @@ def grover_search(
         for k, fld in enumerate(encoded, start=1)
     ]
     matrix = mode_status_matrix(gated, pset=pset, tau=tau)
-    witness = None
-    for perm in cyclic_permutations(db.width):
-        if all(
-            not matrix.status(i, perm.column_for(i)).is_zero
-            for i in range(1, db.width + 1)
-        ):
-            witness = perm.rotation
-            break
+    usable = usable_rotations(matrix)
+    witness = int(usable[0]) if usable.size else None
     return GroverResult(witness is not None, witness, matrix)
 
 
@@ -273,24 +268,8 @@ def typical_state(kind: str, pset: PpsSet, n: int | None = None) -> TypicalState
     `kind` is one of product / psi+ / psi- / phi+ / phi- / ghz / w; `n`
     sets the field count for product, ghz, and w (defaults 2, 3, 3).
     """
-    token = kind.strip().lower()
-    if token.startswith("bell"):
-        token = token[4:].lstrip(" -:")
-    if token in ("psi+", "psi-", "phi+", "phi-"):
-        array = bell_array(token)
-        size = 2
-    elif token == "ghz":
-        size = 3 if n is None else n
-        array = ghz_array(size)
-    elif token == "w":
-        size = 3 if n is None else n
-        array = w_array(size)
-    elif token == "product":
-        size = 2 if n is None else n
-        array = product_array(size)
-    else:
-        raise ValueError(f"unknown kind {kind!r}; choose from {TYPICAL_KINDS}")
-    outputs = array.run(canonical_inputs(pset, size))
+    array = builder_for(kind, n)
+    outputs = array.run(canonical_inputs(pset, array.input_count))
     matrix = mode_status_matrix(outputs, pset=pset)
     return TypicalState(outputs, matrix, reconstruct(matrix))
 
@@ -300,7 +279,7 @@ def builder_for(kind: str, n: int | None = None) -> GateArray:
     token = kind.strip().lower()
     if token.startswith("bell"):
         token = token[4:].lstrip(" -:")
-    if token in ("psi+", "psi-", "phi+", "phi-"):
+    if token in BELL_VARIANTS:
         return bell_array(token)
     if token == "ghz":
         return ghz_array(3 if n is None else n)

@@ -21,7 +21,7 @@ from .algorithms import (
     typical_state,
 )
 from .gates import compile_placement
-from .sequences import build_pps_set
+from .sequences import build_pps_set, degree_for
 
 
 @dataclass
@@ -37,18 +37,10 @@ class BenchReport:
         return f"{self.label}: {self.wall_seconds * 1e3:8.2f} ms  [{parts}]"
 
 
-def _degree_for(width: int) -> int:
-    """Smallest degree whose set has at least `width` usable sequences."""
-    s = 2
-    while (1 << s) - 1 < width:
-        s += 1
-    return s
-
-
 def bench_typical(kind: str, n: int | None = None) -> BenchReport:
     array = builder_for(kind, n)
     size = array.input_count
-    pset = build_pps_set(_degree_for(size))
+    pset = build_pps_set(degree_for(size))
     start = time.perf_counter()
     typical_state(kind, pset, n)
     elapsed = time.perf_counter() - start
@@ -57,7 +49,7 @@ def bench_typical(kind: str, n: int | None = None) -> BenchReport:
 
 def bench_shor(modulus: int = 15, base: int = 7) -> BenchReport:
     inst = ShorInstance(modulus, base)
-    pset = build_pps_set(_degree_for(inst.register_width))
+    pset = build_pps_set(degree_for(inst.register_width))
     array = compile_placement(shor_encode(inst, pset), pset)
     start = time.perf_counter()
     shor_factor(inst, pset)
@@ -71,7 +63,7 @@ def bench_grover(width: int = 8, entry_count: int = 13, seed: int = 0) -> BenchR
         int(x) for x in rng.choice(1 << width, size=entry_count, replace=False)
     )
     db = GroverDatabase(width, entries)
-    pset = build_pps_set(_degree_for(width))
+    pset = build_pps_set(degree_for(width))
     start = time.perf_counter()
     grover_search(db, entries[0], pset)
     elapsed = time.perf_counter() - start

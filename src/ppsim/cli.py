@@ -17,7 +17,7 @@ from collections import Counter
 import numpy as np
 
 from .algorithms import ShorInstance, grover_search, shor_factor
-from .bench import _degree_for, format_reports, run_benchmarks
+from .bench import format_reports, run_benchmarks
 from .demod import DEFAULT_THRESHOLD, mode_status_matrix
 from .errors import DimensionMismatchError, FormatError, SimulationError
 from .fields import canonical_inputs
@@ -32,7 +32,7 @@ from .fileformats import (
     save_pps_set,
 )
 from .reconstruct import reconstruct, sample_measurement
-from .sequences import build_pps_set
+from .sequences import build_pps_set, degree_for
 
 _SCHEMA_NOTES = """\
 file schemas:
@@ -123,7 +123,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> None:
 
 def cmd_shor(args: argparse.Namespace) -> None:
     inst = ShorInstance(args.modulus, args.base)
-    degree = args.degree if args.degree else _degree_for(inst.register_width)
+    degree = args.degree if args.degree else degree_for(inst.register_width)
     pset = build_pps_set(degree)
     result = shor_factor(inst, pset, tau=args.tau)
     if args.json:
@@ -145,7 +145,7 @@ def cmd_shor(args: argparse.Namespace) -> None:
 
 def cmd_grover(args: argparse.Namespace) -> None:
     db = load_grover_db(args.db)
-    degree = args.degree if args.degree else _degree_for(db.width)
+    degree = args.degree if args.degree else degree_for(db.width)
     pset = build_pps_set(degree)
     result = grover_search(db, args.query, pset, tau=args.tau)
     if args.json:

@@ -3,12 +3,15 @@
 Each mode of a field is correlated coherently against a reference carrier;
 the real part of the correlation is the decision statistic. Quantizing both
 modes gives a mode status (a, b) with a, b in {-1, 0, +1}; the statuses of
-n fields against n references form the mode status matrix that downstream
-reconstruction consumes.
+n fields against m references form an (n, m, 2) sign grid, the mode status
+matrix that downstream reconstruction consumes. Placement tables are the
+square case of the same grid.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +32,38 @@ def demodulate_mode(fld: ClassicalField, mode: int, ref: PhaseSequence) -> compl
     return complex(np.vdot(ref.carrier, fld.samples[:, mode]) / fld.slot_count)
 
 
-def quantize(raw: complex, tau: float = DEFAULT_THRESHOLD) -> int:
-    """Map a raw correlation to -1/0/+1 by thresholding its real part."""
-    re = raw.real
-    if abs(re) < tau:
-        return 0
-    return 1 if re > 0 else -1
+def quantize(raw, tau: float = DEFAULT_THRESHOLD):
+    """Map raw correlations to -1/0/+1 by thresholding their real parts.
+
+    A scalar gives an int; an array gives an int8 array of the same shape.
+    The threshold must be positive and finite: a zero, negative or NaN tau
+    would call empty cells occupied, an infinite one every cell empty.
+    """
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"threshold tau must be positive and finite, got {tau!r}")
+    re_part = np.real(raw)
+    signs = np.where(np.abs(re_part) < tau, 0, np.sign(re_part)).astype(np.int8)
+    return int(signs) if signs.ndim == 0 else signs
+
+
+_CELL_RE = re.compile(r"\(\s*(-?[01])\s*,\s*(-?[01])\s*\)")
+
+
+def parse_cell(text: str) -> tuple[int, int]:
+    """Parse the cell grammar "0" or "(a,b)" with a, b in {-1, 0, 1}."""
+    stripped = text.strip()
+    if stripped == "0":
+        return (0, 0)
+    match = _CELL_RE.fullmatch(stripped)
+    if match is None:
+        raise ValueError(f"bad status cell {text!r}")
+    return (int(match.group(1)), int(match.group(2)))
+
+
+def format_cell(pair: tuple[int, int]) -> str:
+    """Inverse of parse_cell; (0, 0) renders as "0"."""
+    a, b = pair
+    return "0" if a == 0 and b == 0 else f"({a},{b})"
 
 
 @dataclass(frozen=True)
@@ -55,68 +84,96 @@ class ModeStatus:
 
     def as_string(self) -> str:
         """Cell grammar used by files and displays: "0" or "(a,b)"."""
-        if self.is_zero:
-            return "0"
-        return f"({self.a_tilde},{self.b_tilde})"
+        return format_cell(self.pair)
 
 
 def mode_status(
     fld: ClassicalField, ref: PhaseSequence, tau: float = DEFAULT_THRESHOLD
 ) -> ModeStatus:
     """Demodulate both modes of one field and quantize."""
-    if tau <= 0:
-        raise ValueError("threshold must be positive")
     raw0 = demodulate_mode(fld, MODE0, ref)
     raw1 = demodulate_mode(fld, MODE1, ref)
     return ModeStatus(quantize(raw0, tau), quantize(raw1, tau), (raw0, raw1))
 
 
 @dataclass(eq=False)
-class ModeStatusMatrix:
-    """Grid of statuses: rows index fields, columns index references."""
+class SignGrid:
+    """(n, m, 2) int8 grid of sign pairs; cell (i, j) is (a, b), 1-based.
 
-    statuses: list[list[ModeStatus]]
+    Entries are -1, 0 or +1; (0, 0) is an empty cell. Grids of the same
+    class compare equal when their shapes and signs agree.
+    """
+
+    cells: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.cells)
+        if arr.ndim != 3 or arr.shape[2] != 2:
+            raise DimensionMismatchError(
+                f"sign cells must have shape (n, m, 2), got {arr.shape}"
+            )
+        if not np.all(np.isin(arr, (-1, 0, 1))):
+            raise ValueError("cell entries must be -1, 0, or +1")
+        self.cells = arr.astype(np.int8)
+
+    def cell(self, i: int, j: int) -> tuple[int, int]:
+        """Sign pair for row i, column j (both 1-based)."""
+        a, b = self.cells[i - 1, j - 1]
+        return (int(a), int(b))
+
+    def to_strings(self) -> list[list[str]]:
+        return [[format_cell(pair) for pair in row] for row in self.cells.tolist()]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return bool(np.array_equal(self.cells, other.cells))
+
+    @classmethod
+    def from_strings(cls, rows: list[list[str]]):
+        return cls(np.array([[parse_cell(c) for c in row] for row in rows], dtype=np.int8))
+
+
+@dataclass(eq=False)
+class ModeStatusMatrix(SignGrid):
+    """Sign grid of statuses (rows index fields, columns references) plus
+    the (n, m, 2) complex raw correlations they were quantized from.
+
+    Without measured raws, each raw is set to its sign.
+    """
+
+    raw: np.ndarray | None = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        raw = self.cells if self.raw is None else self.raw
+        self.raw = np.asarray(raw, dtype=np.complex128)
+        if self.raw.shape != self.cells.shape:
+            raise DimensionMismatchError("raw and sign grids differ in shape")
 
     @property
     def field_count(self) -> int:
-        return len(self.statuses)
+        return int(self.cells.shape[0])
 
     @property
     def reference_count(self) -> int:
-        return len(self.statuses[0]) if self.statuses else 0
+        return int(self.cells.shape[1])
 
     def status(self, i: int, j: int) -> ModeStatus:
         """Cell for field i against reference j (both 1-based)."""
-        return self.statuses[i - 1][j - 1]
+        r0, r1 = self.raw[i - 1, j - 1]
+        return ModeStatus(*self.cell(i, j), (complex(r0), complex(r1)))
 
     def signs(self) -> np.ndarray:
         """(fields, references, 2) int8 array of quantized pairs."""
-        return np.array(
-            [[cell.pair for cell in row] for row in self.statuses], dtype=np.int8
-        )
+        return self.cells.copy()
 
-    def cell_strings(self) -> list[list[str]]:
-        return [[cell.as_string() for cell in row] for row in self.statuses]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ModeStatusMatrix):
-            return NotImplemented
-        if (
-            self.field_count != other.field_count
-            or self.reference_count != other.reference_count
-        ):
-            return False
-        return bool(np.array_equal(self.signs(), other.signs()))
+    cell_strings = SignGrid.to_strings
 
     @classmethod
     def from_pairs(cls, pairs: list[list[tuple[int, int]]]) -> "ModeStatusMatrix":
         """Build a matrix from quantized pairs alone (raws set to the pair)."""
-        return cls(
-            [
-                [ModeStatus(int(a), int(b), (complex(a), complex(b))) for a, b in row]
-                for row in pairs
-            ]
-        )
+        return cls(np.array(pairs, dtype=np.int8))
 
 
 def mode_status_matrix(
@@ -132,25 +189,21 @@ def mode_status_matrix(
     """
     if refs is None:
         refs = pset
+    if not fields or not refs:
+        raise DimensionMismatchError("need at least one field and one reference")
     if isinstance(refs, PpsSet):
         if len(fields) > refs.usable_count:
             raise DimensionMismatchError(
                 f"{len(fields)} fields but set has {refs.usable_count} usable references"
             )
-        refs = [refs.sequence(j) for j in range(1, len(fields) + 1)]
-    if not fields or not refs:
-        raise DimensionMismatchError("need at least one field and one reference")
+        # a bit row takes only two carrier values: e^0 and e^{i mapping_phase}
+        bits = refs.bit_rows[1 : len(fields) + 1]
+        carriers = np.where(bits, np.exp(1j * refs.mapping_phase), 1)  # (nr, N)
+    else:
+        carriers = np.stack([r.carrier for r in refs])
     slot_count = fields[0].slot_count
-    stack = np.stack([f.samples for f in fields])  # (nf, N, 2)
-    carriers = np.stack([r.carrier for r in refs])  # (nr, N)
     if carriers.shape[1] != slot_count:
         raise DimensionMismatchError("reference length differs from field length")
-    raw = np.einsum("fkm,rk->frm", stack, carriers.conj()) / slot_count
-    grid = []
-    for fi in range(len(fields)):
-        row = []
-        for rj in range(len(refs)):
-            r0, r1 = complex(raw[fi, rj, 0]), complex(raw[fi, rj, 1])
-            row.append(ModeStatus(quantize(r0, tau), quantize(r1, tau), (r0, r1)))
-        grid.append(row)
-    return ModeStatusMatrix(grid)
+    stack = np.stack([f.samples for f in fields])  # (nf, N, 2)
+    raw = np.einsum("fkm,rk->frm", stack, carriers.conj(), optimize=True) / slot_count
+    return ModeStatusMatrix(quantize(raw, tau), raw)

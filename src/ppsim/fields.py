@@ -78,6 +78,8 @@ class Unitary2:
         )
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.chi) and math.isfinite(self.theta)):
+            raise ValueError("unitary parameters chi and theta must be finite")
         u = self.matrix
         if np.abs(u @ u.conj().T - np.eye(2)).max() > UNITARITY_TOL:
             raise ValueError("matrix is not unitary")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .algorithms import GroverDatabase
-from .demod import ModeStatusMatrix
+from .demod import ModeStatusMatrix, SignGrid
 from .errors import FormatError
 from .fields import ClassicalField
 from .gates import (
@@ -30,10 +30,9 @@ from .gates import (
     PlacementTable,
     Split,
     Unitary,
-    parse_cell,
 )
 from .reconstruct import SimulatedState
-from .sequences import HALF_PI, PI, PpsSet
+from .sequences import HALF_PI, PI, PpsSet, _parse_mapping
 from .symbolic import SymbolicField
 
 
@@ -59,15 +58,6 @@ def _format_mapping(phase: float) -> str:
     if math.isclose(phase, HALF_PI, rel_tol=0, abs_tol=1e-15):
         return "pi/2"
     return repr(float(phase))
-
-
-def _parse_mapping_text(token: str) -> float:
-    text = token.strip().lower()
-    if text == "pi":
-        return PI
-    if text == "pi/2":
-        return HALF_PI
-    return float(text)
 
 
 def save_pps_set(pset: PpsSet, path) -> None:
@@ -97,7 +87,7 @@ def load_pps_set(path) -> PpsSet:
     try:
         degree = int(header["degree"])
         polynomial = tuple(int(t) for t in header["polynomial"].split(","))
-        mapping = _parse_mapping_text(header["mapping"])
+        mapping = _parse_mapping(header["mapping"])
         rows = np.array(
             [[int(t) for t in line.split(",")] for line in row_lines], dtype=np.uint8
         )
@@ -150,20 +140,14 @@ def load_fields(path) -> list[ClassicalField]:
     return out
 
 
-def _grid_strings(obj) -> list[list[str]]:
-    if isinstance(obj, PlacementTable):
-        return obj.to_strings()
-    if isinstance(obj, ModeStatusMatrix):
-        return obj.cell_strings()
-    raise TypeError(f"cannot serialize {type(obj).__name__} as a status grid")
-
-
 def save_matrix(obj, path, fmt: str | None = None) -> None:
     """Write a status matrix or placement table as a JSON or CSV cell grid.
 
     Format follows `fmt` ("json"/"csv") or, when omitted, the file suffix.
     """
-    rows = _grid_strings(obj)
+    if not isinstance(obj, SignGrid):
+        raise TypeError(f"cannot serialize {type(obj).__name__} as a status grid")
+    rows = obj.to_strings()
     chosen = fmt or ("csv" if str(path).lower().endswith(".csv") else "json")
     if chosen == "csv":
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -190,21 +174,20 @@ def load_matrix_cells(path) -> list[list[str]]:
     return rows
 
 
-def load_matrix(path) -> ModeStatusMatrix:
+def _load_grid(path, cls):
     rows = load_matrix_cells(path)
     try:
-        pairs = [[parse_cell(cell) for cell in row] for row in rows]
+        return cls.from_strings(rows)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from None
-    return ModeStatusMatrix.from_pairs(pairs)
+
+
+def load_matrix(path) -> ModeStatusMatrix:
+    return _load_grid(path, ModeStatusMatrix)
 
 
 def load_placement(path) -> PlacementTable:
-    rows = load_matrix_cells(path)
-    try:
-        return PlacementTable.from_strings(rows)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    return _load_grid(path, PlacementTable)
 
 
 def save_state(state: SimulatedState, path) -> None:

@@ -14,7 +14,7 @@ from importlib import resources
 import numpy as np
 
 from .algorithms import GroverDatabase
-from .gates import PlacementTable, parse_cell
+from .gates import PlacementTable
 from .demod import ModeStatusMatrix
 from .reconstruct import SimulatedState
 from .symbolic import SymbolicField
@@ -23,11 +23,6 @@ from .symbolic import SymbolicField
 def _load(name):
     text = resources.files("ppsim.data").joinpath(name).read_text(encoding="utf-8")
     return json.loads(text)
-
-
-def _matrix_from_strings(rows):
-    pairs = [[parse_cell(c) for c in row] for row in rows]
-    return ModeStatusMatrix.from_pairs(pairs)
 
 
 def reference_sequence_rows():
@@ -55,7 +50,7 @@ def typical_reference(kind):
     if kind not in data:
         raise KeyError(f"no reference for kind {kind!r}")
     entry = data[kind]
-    matrix = _matrix_from_strings(entry["matrix"])
+    matrix = ModeStatusMatrix.from_strings(entry["matrix"])
     state = SimulatedState(matrix.field_count, dict(entry["state"]))
     return TypicalReference(kind, matrix, state)
 
@@ -137,7 +132,7 @@ def search_reference():
             query=q,
             found=entry["found"],
             witness=entry["witness"],
-            matrix=_matrix_from_strings(entry["matrix"]),
+            matrix=ModeStatusMatrix.from_strings(entry["matrix"]),
         )
     return SearchReference(
         database=db,

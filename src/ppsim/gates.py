@@ -12,13 +12,14 @@ gate C passes only mode 1, gate D passes both unchanged.
 
 from __future__ import annotations
 
-import re
+import math
 from collections import Counter
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 
+from .demod import SignGrid
 from .errors import DimensionMismatchError
 from .fields import ClassicalField, Unitary2
 from .sequences import PpsSet
@@ -72,6 +73,10 @@ class Split:
             raise ValueError("split fanout must be at least 2")
         if self.gains is not None and len(self.gains) != self.fanout:
             raise ValueError("gain count must match fanout")
+        if self.gains is not None and not all(
+            math.isfinite(g) and g >= 0 for g in self.gains
+        ):
+            raise ValueError("split gains must be finite and nonnegative")
 
     def branch_gains(self) -> tuple[float, ...]:
         return (1.0,) * self.fanout if self.gains is None else self.gains
@@ -94,6 +99,9 @@ class Unitary:
 
     chi: float
     theta: float
+
+    def __post_init__(self):
+        Unitary2(self.chi, self.theta)  # rejects non-finite parameters
 
 
 @dataclass(frozen=True)
@@ -222,72 +230,22 @@ class GateArray:
         return results
 
 
-def run_array(array: GateArray, inputs: list[ClassicalField]) -> list[ClassicalField]:
-    """Functional alias for GateArray.run."""
-    return array.run(inputs)
-
-
-_CELL_RE = re.compile(r"\(\s*(-?[01])\s*,\s*(-?[01])\s*\)")
-
-
-def parse_cell(text: str) -> tuple[int, int]:
-    """Parse the cell grammar "0" or "(a,b)" with a, b in {-1, 0, 1}."""
-    stripped = text.strip()
-    if stripped == "0":
-        return (0, 0)
-    match = _CELL_RE.fullmatch(stripped)
-    if match is None:
-        raise ValueError(f"bad status cell {text!r}")
-    return (int(match.group(1)), int(match.group(2)))
-
-
-def format_cell(pair: tuple[int, int]) -> str:
-    """Inverse of parse_cell; (0, 0) renders as "0"."""
-    a, b = pair
-    return "0" if a == 0 and b == 0 else f"({a},{b})"
-
-
 @dataclass(eq=False)
-class PlacementTable:
-    """Square sign table: cell (i, j) places sequence j onto field i.
+class PlacementTable(SignGrid):
+    """Square sign grid: cell (i, j) places sequence j onto field i.
 
     cells[i-1, j-1] = (a, b) means sequence j rides mode 0 of output
     field i with sign a and mode 1 with sign b; (0, 0) means absent.
     """
 
-    cells: np.ndarray
-
     def __post_init__(self):
-        arr = np.asarray(self.cells, dtype=np.int8)
-        if arr.ndim != 3 or arr.shape[0] != arr.shape[1] or arr.shape[2] != 2:
+        super().__post_init__()
+        if self.cells.shape[0] != self.cells.shape[1]:
             raise DimensionMismatchError("placement cells must have shape (n, n, 2)")
-        if not np.all(np.isin(arr, (-1, 0, 1))):
-            raise ValueError("cell entries must be -1, 0, or +1")
-        self.cells = arr
 
     @property
     def size(self) -> int:
         return int(self.cells.shape[0])
-
-    def cell(self, i: int, j: int) -> tuple[int, int]:
-        """Sign pair for field i, sequence j (both 1-based)."""
-        a, b = self.cells[i - 1, j - 1]
-        return (int(a), int(b))
-
-    def to_strings(self) -> list[list[str]]:
-        return [
-            [format_cell(self.cell(i, j)) for j in range(1, self.size + 1)]
-            for i in range(1, self.size + 1)
-        ]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PlacementTable):
-            return NotImplemented
-        return np.array_equal(self.cells, other.cells)
-
-    @classmethod
-    def from_strings(cls, rows: list[list[str]]) -> "PlacementTable":
-        return cls(np.array([[parse_cell(c) for c in row] for row in rows], dtype=np.int8))
 
     @classmethod
     def from_status_matrix(cls, matrix) -> "PlacementTable":
@@ -330,9 +288,8 @@ def compile_placement(table: PlacementTable, pset: PpsSet) -> GateArray:
         bus_taps[j].append(gid)
         row_terms[i].append(tail)
 
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            a, b = table.cell(i, j)
+    for i, row in enumerate(table.cells.tolist(), start=1):
+        for j, (a, b) in enumerate(row, start=1):
             if a == 0 and b == 0:
                 continue
             if a == b:

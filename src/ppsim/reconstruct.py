@@ -2,9 +2,10 @@
 
 A square status matrix is read along its cyclic diagonals: rotation r
 pairs field i with reference column ((i + r - 2) mod n) + 1. Each rotation
-whose statuses are all nonzero contributes one product term; the sum over
-rotations, with integer coefficients reduced by their common factor, is
-the simulated state.
+whose statuses are all nonzero is usable and contributes one product term;
+the sum over rotations, with integer coefficients reduced by their common
+factor, is the simulated state. One vectorised scan of the sign grid
+finds the usable rotations for reconstruction, sampling and search.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demod import ModeStatusMatrix
+from .demod import ModeStatusMatrix, SignGrid
 from .errors import DimensionMismatchError, UnrepresentableStateError
 
 
@@ -96,6 +97,22 @@ class SimulatedState:
         return text
 
 
+def usable_rotations(grid: SignGrid) -> np.ndarray:
+    """Rotations r (1-based, ascending) whose cyclic diagonal has no empty cell."""
+    occupied = grid.cells.any(axis=2)
+    n, m = occupied.shape
+    if n != m:
+        raise DimensionMismatchError(f"matrix is {n}x{m}, rotations need a square grid")
+    rows = np.arange(n)
+    diagonals = occupied[rows[:, None], (rows[:, None] + rows) % n]  # [i, r - 1]
+    return np.flatnonzero(diagonals.all(axis=0)) + 1
+
+
+def _diagonal(grid: SignGrid, perm: SequencePermutation) -> list[list[int]]:
+    """Sign pairs [a, b] the rotation reads, field by field."""
+    return grid.cells[np.arange(perm.order), perm.columns0()].tolist()
+
+
 def term_for_permutation(
     matrix: ModeStatusMatrix, perm: SequencePermutation
 ) -> dict[str, int]:
@@ -107,8 +124,7 @@ def term_for_permutation(
     if matrix.field_count != perm.order:
         raise DimensionMismatchError("permutation order differs from matrix size")
     terms = {"": 1}
-    for i in range(1, matrix.field_count + 1):
-        a, b = matrix.status(i, perm.column_for(i)).pair
+    for a, b in _diagonal(matrix, perm):
         if a == 0 and b == 0:
             return {}
         grown: dict[str, int] = {}
@@ -122,15 +138,11 @@ def term_for_permutation(
 
 
 def reconstruct(matrix: ModeStatusMatrix) -> SimulatedState:
-    """Sum the product terms of every cyclic rotation of a square matrix."""
+    """Sum the product terms of the usable rotations of a square matrix."""
     n = matrix.field_count
-    if matrix.reference_count != n:
-        raise DimensionMismatchError(
-            f"matrix is {n}x{matrix.reference_count}, reconstruction needs square"
-        )
     total: Counter[str] = Counter()
-    for perm in cyclic_permutations(n):
-        for bits, coeff in term_for_permutation(matrix, perm).items():
+    for r in usable_rotations(matrix).tolist():
+        for bits, coeff in term_for_permutation(matrix, SequencePermutation(n, r)).items():
             total[bits] += coeff
     return SimulatedState(n, {b: c for b, c in total.items() if c != 0})
 
@@ -146,29 +158,14 @@ def sample_measurement(
     Raises UnrepresentableStateError when every rotation has a hole.
     """
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    n = matrix.field_count
-    if matrix.reference_count != n:
-        raise DimensionMismatchError(
-            f"matrix is {n}x{matrix.reference_count}, sampling needs square"
-        )
-    usable = [
-        perm
-        for perm in cyclic_permutations(n)
-        if all(
-            not matrix.status(i, perm.column_for(i)).is_zero
-            for i in range(1, n + 1)
-        )
-    ]
-    if not usable:
+    usable = usable_rotations(matrix)
+    if not usable.size:
         raise UnrepresentableStateError("unrepresentable state")
-    perm = usable[int(gen.integers(len(usable)))]
+    rotation = int(usable[int(gen.integers(len(usable)))])
     digits = []
-    for i in range(1, n + 1):
-        a, b = matrix.status(i, perm.column_for(i)).pair
+    for a, b in _diagonal(matrix, SequencePermutation(matrix.field_count, rotation)):
         if a != 0 and b != 0:
             digits.append("01"[int(gen.integers(2))])
-        elif a != 0:
-            digits.append("0")
         else:
-            digits.append("1")
+            digits.append("0" if a != 0 else "1")
     return "".join(digits)

@@ -136,13 +136,11 @@ def generate_m_sequence(
 
 
 def _parse_mapping(mapping_phase: float | str) -> float:
+    """Mapping phase from a number or the text "pi", "pi/2" or a float."""
     if isinstance(mapping_phase, str):
+        named = {"pi": PI, "pi/2": HALF_PI}
         token = mapping_phase.strip().lower()
-        if token == "pi":
-            return PI
-        if token == "pi/2":
-            return HALF_PI
-        raise ValueError(f"unknown mapping token {mapping_phase!r}")
+        return named[token] if token in named else float(token)
     return float(mapping_phase)
 
 
@@ -181,6 +179,11 @@ class PpsSet:
     @property
     def sequences(self) -> list[PhaseSequence]:
         return [self.sequence(j) for j in range(self.length)]
+
+
+def degree_for(width: int) -> int:
+    """Smallest degree whose set has at least `width` usable sequences."""
+    return max(2, width.bit_length())
 
 
 def build_pps_set(

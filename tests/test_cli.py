@@ -240,3 +240,26 @@ def test_bench_runs():
     assert "ms" in proc.stdout
     assert "factor(15,7)" in proc.stdout
     assert "search(w=8,k=13)" in proc.stdout
+
+
+@pytest.mark.parametrize("tau", ["-3", "nan"])
+def test_shor_bad_threshold_names_tau(tau):
+    proc = run_cli("shor", "--modulus", "15", "--base", "7", "--tau", tau)
+    assert proc.returncode == 5
+    assert "threshold tau" in proc.stderr
+    assert "period unusable" not in proc.stderr
+
+
+def test_simulate_nonfinite_circuit_parameter_is_format_error(tmp_path):
+    circuit = tmp_path / "nan.json"
+    circuit.write_text(
+        '{"nodes": [{"id": "in0", "kind": "input", "index": 0},'
+        ' {"id": "u", "kind": "unitary", "chi": NaN, "theta": 0.0},'
+        ' {"id": "out0", "kind": "output", "index": 0}],'
+        ' "edges": [["in0", "u"], ["u", "out0"]]}'
+    )
+    pps = tmp_path / "set3.pps"
+    save_pps_set(build_pps_set(3), pps)
+    proc = run_cli("simulate", "--canonical", 1, "--pps", pps, "--circuit", circuit)
+    assert proc.returncode == 3
+    assert "finite" in proc.stderr

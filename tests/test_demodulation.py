@@ -9,6 +9,7 @@ from ppsim import (
     DimensionMismatchError,
     ModeStatus,
     ModeStatusMatrix,
+    bell_array,
     canonical_inputs,
     demodulate_mode,
     make_single_pps_field,
@@ -135,3 +136,13 @@ def test_mode_status_raw_retained(set3):
     assert status.raw[0] == pytest.approx(0.75, abs=1e-12)
     frozen = ModeStatus(1, 0)
     assert frozen.pair == (1, 0) and frozen.raw == (0j, 0j)
+
+
+@pytest.mark.parametrize("tau", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_threshold_rejected(set3, tau):
+    # without the check, tau <= 0 or NaN quantized psi+ to |00> - |01> - |10> + |11>
+    outputs = bell_array("psi+").run(canonical_inputs(set3, 2))
+    with pytest.raises(ValueError, match="threshold tau"):
+        mode_status_matrix(outputs, pset=set3, tau=tau)
+    with pytest.raises(ValueError, match="threshold tau"):
+        mode_status(outputs[0], set3.sequence(1), tau=tau)

@@ -150,3 +150,10 @@ def test_field_inner_product_orthogonality(set3):
             assert value == pytest.approx(expect, abs=1e-12)
     with pytest.raises(DimensionMismatchError):
         field_inner_product(fields[0], zero_field(4))
+
+
+@pytest.mark.parametrize("chi, theta", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0)])
+def test_unitary_rejects_nonfinite_parameters(chi, theta):
+    # NaN compares false, so the unitarity check alone let Unitary2(nan, 0) pass
+    with pytest.raises(ValueError, match="finite"):
+        Unitary2(chi, theta)

@@ -220,3 +220,28 @@ def test_grover_db_bare_list(tmp_path):
     path.write_text(json.dumps({"entries": [1, 1]}))
     with pytest.raises(FormatError):
         load_grover_db(path)
+
+
+@pytest.mark.parametrize(
+    "node",
+    [
+        {"id": "u", "kind": "unitary", "chi": float("nan"), "theta": 0.0},
+        {"id": "u", "kind": "unitary", "chi": 0.0, "theta": float("inf")},
+        {"id": "u", "kind": "split", "fanout": 2, "gains": [float("nan"), 1.0]},
+        {"id": "u", "kind": "split", "fanout": 2, "gains": [-1.0, 1.0]},
+    ],
+)
+def test_circuit_nonfinite_or_negative_parameters(tmp_path, node):
+    nodes = [
+        {"id": "in0", "kind": "input", "index": 0},
+        node,
+        {"id": "out0", "kind": "output", "index": 0},
+    ]
+    edges = [["in0", "u"], ["u", "out0"]]
+    if node["kind"] == "split":
+        nodes.append({"id": "out1", "kind": "output", "index": 1})
+        edges.append(["u", "out1"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"nodes": nodes, "edges": edges}))
+    with pytest.raises(FormatError, match="bad circuit file"):
+        load_circuit(path)

@@ -27,7 +27,6 @@ from ppsim import (
     parse_cell,
     product_array,
     reconstruct,
-    run_array,
     w_array,
     zero_field,
 )
@@ -122,7 +121,7 @@ def test_run_input_checks(set3):
     with pytest.raises(DimensionMismatchError):
         arr.run([])
     with pytest.raises(DimensionMismatchError):
-        run_array(bell_array(), [make_single_pps_field(set3, 1), zero_field(4)])
+        bell_array().run([make_single_pps_field(set3, 1), zero_field(4)])
 
 
 def test_unitary_and_flip_nodes(set3):
@@ -299,3 +298,14 @@ def test_compile_empty_row_blocks_bus(set3):
 def test_compile_too_large_for_set(set3):
     with pytest.raises(DimensionMismatchError):
         compile_placement(_random_table(np.random.default_rng(0), 8), set3)
+
+
+def test_nonfinite_node_parameters_rejected():
+    with pytest.raises(ValueError, match="finite"):
+        Unitary(float("nan"), 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        Unitary(0.0, float("inf"))
+    for gains in ((float("nan"), 1.0), (1.0, float("inf")), (-0.5, 1.0)):
+        with pytest.raises(ValueError, match="split gains"):
+            Split(2, gains=gains)
+    assert Split(2, gains=(0.0, 1.0)).branch_gains() == (0.0, 1.0)
