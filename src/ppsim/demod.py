@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .fields import MODE0, MODE1, ClassicalField
-from .sequences import PhaseSequence, PpsSet
+from .sequences import PhaseSequence, PpsSet, bit_carriers
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -196,9 +196,7 @@ def mode_status_matrix(
             raise DimensionMismatchError(
                 f"{len(fields)} fields but set has {refs.usable_count} usable references"
             )
-        # a bit row takes only two carrier values: e^0 and e^{i mapping_phase}
-        bits = refs.bit_rows[1 : len(fields) + 1]
-        carriers = np.where(bits, np.exp(1j * refs.mapping_phase), 1)  # (nr, N)
+        carriers = bit_carriers(refs.bit_rows[1 : len(fields) + 1], refs.mapping_phase)
     else:
         carriers = np.stack([r.carrier for r in refs])
     slot_count = fields[0].slot_count

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .sequences import PhaseSequence, PpsSet
+from .sequences import PhaseSequence, PpsSet, bit_carriers
 
 MODE0 = 0
 MODE1 = 1
@@ -89,7 +89,7 @@ def make_single_pps_field(
     pset: PpsSet, j: int, mode_weights: tuple[complex, complex] = (1.0, 1.0)
 ) -> ClassicalField:
     """Field carrying one sequence on both modes: e^{i lambda^(j)} (a|0> + b|1>)."""
-    carrier = pset.carriers[j]
+    carrier = bit_carriers(pset.bit_rows[j], pset.mapping_phase)
     alpha, beta = mode_weights
     return ClassicalField(np.stack([alpha * carrier, beta * carrier], axis=1))
 

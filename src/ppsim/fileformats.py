@@ -17,7 +17,7 @@ import numpy as np
 
 from .algorithms import GroverDatabase
 from .demod import ModeStatusMatrix, SignGrid
-from .errors import FormatError
+from .errors import FormatError, SimulationError
 from .fields import ClassicalField
 from .gates import (
     Combine,
@@ -32,7 +32,7 @@ from .gates import (
     Unitary,
 )
 from .reconstruct import SimulatedState
-from .sequences import HALF_PI, PI, PpsSet, _parse_mapping
+from .sequences import HALF_PI, PI, PpsSet, _parse_mapping, build_pps_set
 from .symbolic import SymbolicField
 
 
@@ -62,16 +62,48 @@ def _format_mapping(phase: float) -> str:
 
 def save_pps_set(pset: PpsSet, path) -> None:
     """Text format: degree/polynomial/mapping headers, then one bit row per line."""
-    lines = [
-        f"degree: {pset.degree}",
-        "polynomial: " + ",".join(str(int(c)) for c in pset.polynomial),
-        "mapping: " + _format_mapping(pset.mapping_phase),
-    ]
-    lines += [",".join(str(int(b)) for b in row) for row in pset.bit_rows]
-    _write_text(path, "\n".join(lines) + "\n")
+    header = "\n".join(
+        [
+            f"degree: {pset.degree}",
+            "polynomial: " + ",".join(str(int(c)) for c in pset.polynomial),
+            "mapping: " + _format_mapping(pset.mapping_phase),
+        ]
+    )
+    # each row is its N digits at even offsets, a comma or the newline after each
+    n = pset.length
+    body = np.full((n, 2 * n), ord(","), dtype=np.uint8)
+    np.add(pset.bit_rows, ord("0"), out=body[:, 0::2], casting="unsafe")
+    body[:, -1] = ord("\n")
+    with open(path, "wb") as out:
+        out.write(header.encode("utf-8") + b"\n")
+        out.write(body)
+
+
+def _parse_bit_rows(row_lines: list[str], n: int, path) -> np.ndarray:
+    """(n, n) uint8 bits from n lines of n comma-separated 0/1 tokens.
+
+    Spaces and tabs around a token are ignored; any other token is an error.
+    """
+    widths = [line.count(",") + 1 for line in row_lines]
+    if len(row_lines) != n or set(widths) != {n}:
+        raise FormatError(
+            f"{path}: expected {n} rows of {n} bits, got {len(row_lines)} rows of "
+            f"{min(widths, default=0)}..{max(widths, default=0)} bits"
+        )
+    # one buffer of n * n (token, comma) byte pairs
+    chars = np.frombuffer(",".join(row_lines + [""]).encode("utf-8"), dtype=np.uint8)
+    if chars.size != 2 * n * n:
+        chars = chars[(chars != ord(" ")) & (chars != ord("\t"))]
+    if chars.size == 2 * n * n:
+        pairs = chars.reshape(n * n, 2)
+        bits = pairs[:, 0] - ord("0")  # wraps any other byte past 1
+        if not ((bits > 1).any() or (pairs[:, 1] != ord(",")).any()):
+            return bits.reshape(n, n)
+    raise FormatError(f"{path}: bit rows must contain only 0 and 1")
 
 
 def load_pps_set(path) -> PpsSet:
+    """Read a PPS set file; its rows must be the family its headers generate."""
     text = Path(path).read_text(encoding="utf-8")
     header: dict[str, str] = {}
     row_lines: list[str] = []
@@ -84,23 +116,31 @@ def load_pps_set(path) -> PpsSet:
             header[key.strip().lower()] = value.strip()
         else:
             row_lines.append(line)
+    del text  # at degree 12 the text and the row lines are 33 MB each
     try:
         degree = int(header["degree"])
         polynomial = tuple(int(t) for t in header["polynomial"].split(","))
         mapping = _parse_mapping(header["mapping"])
-        rows = np.array(
-            [[int(t) for t in line.split(",")] for line in row_lines], dtype=np.uint8
-        )
     except (KeyError, ValueError) as exc:
         raise FormatError(f"{path}: bad PPS set file ({exc})") from None
-    n = 1 << degree
-    if rows.shape != (n, n):
+    if degree < 2:
+        raise FormatError(f"{path}: degree must be >= 2, got {degree}")
+    if len(polynomial) != degree + 1:
         raise FormatError(
-            f"{path}: expected {n} rows of {n} bits, got shape {rows.shape}"
+            f"{path}: degree {degree} needs {degree + 1} polynomial coefficients, "
+            f"got {len(polynomial)}"
         )
-    if not np.all((rows == 0) | (rows == 1)):
-        raise FormatError(f"{path}: bit rows must contain only 0 and 1")
-    return PpsSet(degree, polynomial, mapping, rows)
+    rows = _parse_bit_rows(row_lines, 1 << degree, path)
+    del row_lines
+    try:
+        family = build_pps_set(degree, polynomial, mapping, seed=tuple(rows[1, :degree]))
+    except (SimulationError, ValueError) as exc:
+        raise FormatError(f"{path}: rows are not a PPS family ({exc})") from None
+    if not np.array_equal(family.bit_rows, rows):
+        raise FormatError(
+            f"{path}: rows differ from the family that the headers and row 1 generate"
+        )
+    return family
 
 
 def save_fields(fields: list[ClassicalField], path) -> None:

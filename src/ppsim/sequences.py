@@ -153,6 +153,7 @@ class PpsSet:
     mapping_phase: float
     bit_rows: np.ndarray  # (N, N) uint8; row j holds lambda^(j) bits
     _carriers: np.ndarray | None = field(default=None, init=False, repr=False)
+    _window_rows: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def length(self) -> int:
@@ -168,8 +169,23 @@ class PpsSet:
     def carriers(self) -> np.ndarray:
         """(N, N) complex matrix; row j is the carrier e^{i lambda^(j)}."""
         if self._carriers is None:
-            self._carriers = np.exp(1j * self.mapping_phase * self.bit_rows)
+            self._carriers = bit_carriers(self.bit_rows, self.mapping_phase)
         return self._carriers
+
+    def _rows_by_window(self) -> np.ndarray:
+        """Table w -> index of the row whose first `degree` bits read w.
+
+        Bit t of w is bit t of the row. Each nonzero window occurs once per
+        m-sequence period, so the N rows (row 0 reads 0) fill the N keys.
+        """
+        if self._window_rows is None:
+            keys = self.bit_rows[:, : self.degree] @ (1 << np.arange(self.degree))
+            table = np.full(self.length, -1, dtype=np.intp)
+            table[keys] = np.arange(self.length)
+            if (table < 0).any():
+                raise ClosureError("closure violated: row windows are not distinct")
+            self._window_rows = table
+        return self._window_rows
 
     def sequence(self, j: int) -> PhaseSequence:
         if not 0 <= j < self.length:
@@ -179,6 +195,15 @@ class PpsSet:
     @property
     def sequences(self) -> list[PhaseSequence]:
         return [self.sequence(j) for j in range(self.length)]
+
+
+def bit_carriers(bits: np.ndarray, mapping_phase: float) -> np.ndarray:
+    """Carriers e^{i mapping_phase * b} of bit rows, elementwise.
+
+    A bit takes only two carrier values, e^0 and e^{i mapping_phase}, so this
+    selects between them; the values equal the complex exponential bit for bit.
+    """
+    return np.where(bits, np.exp(1j * mapping_phase), 1)
 
 
 def degree_for(width: int) -> int:
@@ -196,7 +221,8 @@ def build_pps_set(
 
     Row 0 is all zero. Row 1 is the base m-sequence with a zero unit
     appended; each following row rotates the previous one left by one
-    position over the first N-1 units, keeping the final unit zero.
+    position over the first N-1 units, keeping the final unit zero. `seed`
+    is the first `degree` bits of row 1 (default all ones).
     """
     if polynomial is None:
         try:
@@ -209,8 +235,10 @@ def build_pps_set(
     n = 1 << degree
     rows = np.zeros((n, n), dtype=np.uint8)
     core = np.array(base.bits, dtype=np.uint8)
-    for j in range(1, n):
-        rows[j, : n - 1] = np.roll(core, -(j - 1))
+    # rows 1.. read flat are n copies of the core: as N = 1 mod N-1, row j + 1
+    # is the core rotated left by j, plus one unit that is then zeroed
+    rows[1:].reshape(n, n - 1)[:] = core
+    rows[1:, n - 1] = 0
     return PpsSet(degree, tuple(int(c) for c in polynomial), _parse_mapping(mapping_phase), rows)
 
 
@@ -236,13 +264,17 @@ def sequence_product(i: int, j: int, pset: PpsSet) -> int:
     """Index k with lambda^(i) + lambda^(j) = lambda^(k) as bit rows.
 
     Bit rows add over GF(2); for mapping_phase = pi this matches the
-    elementwise carrier product e^{i lambda^(i)} e^{i lambda^(j)}.
+    elementwise carrier product e^{i lambda^(i)} e^{i lambda^(j)}. The
+    candidate k is the row whose first `degree` bits match the XOR's; the
+    whole row k is then checked against the XOR.
     """
     n = pset.length
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"sequence indices {i}, {j} out of range 0..{n - 1}")
-    combined = np.bitwise_xor(pset.bit_rows[i], pset.bit_rows[j])
-    matches = np.nonzero((pset.bit_rows == combined).all(axis=1))[0]
-    if matches.size != 1:
-        raise ClosureError("closure violated")
-    return int(matches[0])
+    rows = pset.bit_rows
+    combined = np.bitwise_xor(rows[i], rows[j])
+    window = int(combined[: pset.degree] @ (1 << np.arange(pset.degree)))
+    k = int(pset._rows_by_window()[window])
+    if not np.array_equal(rows[k], combined):
+        raise ClosureError(f"closure violated: row {k} is not row {i} xor row {j}")
+    return k

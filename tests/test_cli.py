@@ -263,3 +263,20 @@ def test_simulate_nonfinite_circuit_parameter_is_format_error(tmp_path):
     proc = run_cli("simulate", "--canonical", 1, "--pps", pps, "--circuit", circuit)
     assert proc.returncode == 3
     assert "finite" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "header, rows",
+    [
+        ("degree: -1\npolynomial: 1,1,1\n", ["0,0,0,0"] + ["1,1,0,0"] * 3),
+        ("degree: 2\npolynomial: 1,1,1\n", ["0,0,0,0"] + ["1,1,0,0"] * 3),
+    ],
+)
+def test_demod_bad_pps_file_is_format_error(tmp_path, header, rows):
+    fields = tmp_path / "fields.json"
+    save_fields(canonical_inputs(build_pps_set(2), 2), fields)
+    bad = tmp_path / "bad.pps"
+    bad.write_text(header + "mapping: pi\n" + "\n".join(rows) + "\n")
+    proc = run_cli("demod", "--fields", fields, "--pps", bad)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error:")
