@@ -111,6 +111,8 @@ def cmd_demod(args: argparse.Namespace) -> None:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> None:
+    if args.sample < 0:
+        raise _UsageError(f"--sample must be nonnegative, got {args.sample}")
     matrix = load_matrix(args.matrix)
     state = reconstruct(matrix)
     print(f"state: {state.pretty()}")
@@ -126,7 +128,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> None:
 
 def cmd_shor(args: argparse.Namespace) -> None:
     inst = ShorInstance(args.modulus, args.base)
-    degree = args.degree if args.degree else degree_for(inst.register_width)
+    degree = args.degree if args.degree is not None else degree_for(inst.register_width)
     pset = build_pps_set(degree)
     result = shor_factor(inst, pset, tau=args.tau)
     if args.json:
@@ -148,7 +150,7 @@ def cmd_shor(args: argparse.Namespace) -> None:
 
 def cmd_grover(args: argparse.Namespace) -> None:
     db = load_grover_db(args.db)
-    degree = args.degree if args.degree else degree_for(db.width)
+    degree = args.degree if args.degree is not None else degree_for(db.width)
     pset = build_pps_set(degree)
     result = grover_search(db, args.query, pset, tau=args.tau)
     if args.json:

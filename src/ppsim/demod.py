@@ -178,25 +178,28 @@ class ModeStatusMatrix(SignGrid):
 
 def mode_status_matrix(
     fields: list[ClassicalField],
-    refs: list[PhaseSequence] | PpsSet | None = None,
+    refs: list[PhaseSequence] | None = None,
     tau: float = DEFAULT_THRESHOLD,
     pset: PpsSet | None = None,
 ) -> ModeStatusMatrix:
     """Demodulate every field against every reference.
 
-    `refs` may be an explicit list of sequences or a sequence set, in which
-    case references 1..len(fields) are used (the canonical square matrix).
+    Give exactly one reference source: `refs`, an explicit list of
+    sequences, or `pset`, a sequence set whose references 1..len(fields)
+    are used (the canonical square matrix).
     """
-    if refs is None:
-        refs = pset
-    if not fields or not refs:
+    if refs is not None and pset is not None:
+        raise TypeError("pass refs or pset, not both")
+    if isinstance(refs, PpsSet) or (pset is not None and not isinstance(pset, PpsSet)):
+        raise TypeError("refs takes a list of sequences and pset a sequence set")
+    if not fields or (pset is None and not refs):
         raise DimensionMismatchError("need at least one field and one reference")
-    if isinstance(refs, PpsSet):
-        if len(fields) > refs.usable_count:
+    if pset is not None:
+        if len(fields) > pset.usable_count:
             raise DimensionMismatchError(
-                f"{len(fields)} fields but set has {refs.usable_count} usable references"
+                f"{len(fields)} fields but set has {pset.usable_count} usable references"
             )
-        carriers = bit_carriers(refs.bit_rows[1 : len(fields) + 1], refs.mapping_phase)
+        carriers = bit_carriers(pset.bit_rows[1 : len(fields) + 1], pset.mapping_phase)
     else:
         carriers = np.stack([r.carrier for r in refs])
     slot_count = fields[0].slot_count

@@ -2,9 +2,10 @@
 
 An array routes classical two-mode fields from inputs to outputs through
 mode gates, splits, unitary rotations, phase flips, and combiners. Arrays
-are built three ways: by hand (node and edge lists), by the named state
-builders (bell_array, ghz_array, w_array), or compiled from a placement
-table that records which sequence rides which mode of which output field.
+are built by hand (node and edge lists) or compiled from a placement table
+that records which sequence rides which mode of which output field. The
+named product, Bell and GHZ builders are their placement tables, compiled;
+the W builder is a hand-wired broadcast.
 
 Mode gate semantics: gate A blocks both modes, gate B passes only mode 0,
 gate C passes only mode 1, gate D passes both unchanged.
@@ -271,6 +272,12 @@ def compile_placement(table: PlacementTable, pset: PpsSet) -> GateArray:
         raise DimensionMismatchError(
             f"table needs {n} sequences, set provides {pset.usable_count}"
         )
+    return _compile_cells(table.cells)
+
+
+def _compile_cells(cells: np.ndarray) -> GateArray:
+    """Wire an (n, n, 2) sign grid by the rules of compile_placement."""
+    n = cells.shape[0]
     nodes: dict[str, Node] = {}
     edges: list[tuple[str, str]] = []
     bus_taps: dict[int, list[str]] = {j: [] for j in range(1, n + 1)}
@@ -288,19 +295,16 @@ def compile_placement(table: PlacementTable, pset: PpsSet) -> GateArray:
         bus_taps[j].append(gid)
         row_terms[i].append(tail)
 
-    for i, row in enumerate(table.cells.tolist(), start=1):
-        for j, (a, b) in enumerate(row, start=1):
-            if a == 0 and b == 0:
-                continue
-            if a == b:
-                add_chain(i, j, "D", a < 0)
-            elif a != 0 and b != 0:
-                add_chain(i, j, "B", a < 0)
-                add_chain(i, j, "C", b < 0)
-            elif a != 0:
-                add_chain(i, j, "B", a < 0)
-            else:
-                add_chain(i, j, "C", b < 0)
+    occupied = cells.any(axis=2)
+    places = (np.argwhere(occupied) + 1).tolist()  # 1-based, row-major
+    for (i, j), (a, b) in zip(places, cells[occupied].tolist()):
+        if a == b:
+            add_chain(i, j, "D", a < 0)
+            continue
+        if a:
+            add_chain(i, j, "B", a < 0)
+        if b:
+            add_chain(i, j, "C", b < 0)
     # an empty row consumes its own bus through a blocking gate
     for i in range(1, n + 1):
         if not row_terms[i]:
@@ -344,107 +348,41 @@ def product_array(n: int) -> GateArray:
     """n parallel pass-through gates: field i keeps sequence i on both modes."""
     if n < 1:
         raise ValueError("need at least one field")
-    nodes: dict[str, Node] = {}
-    edges: list[tuple[str, str]] = []
-    for i in range(1, n + 1):
-        nodes[f"in{i}"] = Input(i - 1)
-        nodes[f"gD_{i}"] = ModeGate("D")
-        nodes[f"out{i}"] = Output(i - 1)
-        edges += [(f"in{i}", f"gD_{i}"), (f"gD_{i}", f"out{i}")]
-    return GateArray(nodes, edges)
+    cells = np.zeros((n, n, 2), dtype=np.int8)
+    cells[range(n), range(n)] = 1
+    return _compile_cells(cells)
 
 
-BELL_VARIANTS = ("psi+", "psi-", "phi+", "phi-")
+# psi variants cross-route the inputs (field 1 gets sequence 1 on mode 0
+# and sequence 2 on mode 1, field 2 the reverse); phi variants give both
+# fields the same composition. The minus variants flip the sign of the
+# sequence-1 term of field 2.
+_BELL_TABLES = {
+    "psi+": [[(1, 0), (0, 1)], [(0, 1), (1, 0)]],
+    "psi-": [[(1, 0), (0, 1)], [(0, -1), (1, 0)]],
+    "phi+": [[(1, 0), (0, 1)], [(1, 0), (0, 1)]],
+    "phi-": [[(1, 0), (0, 1)], [(-1, 0), (0, 1)]],
+}
+BELL_VARIANTS = tuple(_BELL_TABLES)
 
 
 def bell_array(variant: str = "psi+") -> GateArray:
-    """Two-field array preparing one of the four maximally paired states.
-
-    psi variants cross-route the inputs (field 1 gets sequence 1 on mode 0
-    and sequence 2 on mode 1, field 2 the reverse); phi variants duplicate
-    the same composition onto both outputs. The minus variants flip the
-    sign of the sequence-1 branch of field 2.
-    """
+    """Two-field array preparing one of the four maximally paired states."""
     v = variant.strip().lower()
     if v not in BELL_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {BELL_VARIANTS}")
-    nodes: dict[str, Node] = {
-        "in1": Input(0),
-        "in2": Input(1),
-        "split1": Split(2),
-        "split2": Split(2),
-        "gB1": ModeGate("B"),
-        "gC1": ModeGate("C"),
-        "gB2": ModeGate("B"),
-        "gC2": ModeGate("C"),
-        "comb1": Combine(2),
-        "comb2": Combine(2),
-        "out1": Output(0),
-        "out2": Output(1),
-    }
-    edges: list[tuple[str, str]] = [("in1", "split1"), ("in2", "split2")]
-    if v.startswith("psi"):
-        # out1 = B(in1) + C(in2); out2 = B(in2) + [flip] C(in1)
-        edges += [
-            ("split1", "gB1"),
-            ("split2", "gC1"),
-            ("split2", "gB2"),
-            ("split1", "gC2"),
-            ("gB1", "comb1"),
-            ("gC1", "comb1"),
-            ("gB2", "comb2"),
-        ]
-        tail = "gC2"
-        if v == "psi-":
-            nodes["flip2"] = PhaseFlip()
-            edges.append(("gC2", "flip2"))
-            tail = "flip2"
-        edges.append((tail, "comb2"))
-    else:
-        # out1 = B(in1) + C(in2); out2 = [flip] B(in1) + C(in2)
-        edges += [
-            ("split1", "gB1"),
-            ("split1", "gB2"),
-            ("split2", "gC1"),
-            ("split2", "gC2"),
-            ("gB1", "comb1"),
-            ("gC1", "comb1"),
-            ("gC2", "comb2"),
-        ]
-        tail = "gB2"
-        if v == "phi-":
-            nodes["flip2"] = PhaseFlip()
-            edges.append(("gB2", "flip2"))
-            tail = "flip2"
-        edges.append((tail, "comb2"))
-    edges += [("comb1", "out1"), ("comb2", "out2")]
-    return GateArray(nodes, edges)
+    return _compile_cells(np.array(_BELL_TABLES[v], dtype=np.int8))
 
 
 def ghz_array(n: int = 3) -> GateArray:
     """Cyclic chain: field i gets sequence i on mode 0, sequence i+1 on mode 1."""
     if n < 3:
         raise ValueError("chain needs at least 3 fields; use bell_array for pairs")
-    nodes: dict[str, Node] = {}
-    edges: list[tuple[str, str]] = []
-    for i in range(1, n + 1):
-        nodes[f"in{i}"] = Input(i - 1)
-        nodes[f"split{i}"] = Split(2)
-        nodes[f"gB{i}"] = ModeGate("B")
-        nodes[f"gC{i}"] = ModeGate("C")
-        nodes[f"comb{i}"] = Combine(2)
-        nodes[f"out{i}"] = Output(i - 1)
-        edges.append((f"in{i}", f"split{i}"))
-    for i in range(1, n + 1):
-        nxt = i % n + 1
-        edges += [
-            (f"split{i}", f"gB{i}"),
-            (f"split{nxt}", f"gC{i}"),
-            (f"gB{i}", f"comb{i}"),
-            (f"gC{i}", f"comb{i}"),
-            (f"comb{i}", f"out{i}"),
-        ]
-    return GateArray(nodes, edges)
+    idx = np.arange(n)
+    cells = np.zeros((n, n, 2), dtype=np.int8)
+    cells[idx, idx, 0] = 1
+    cells[idx, (idx + 1) % n, 1] = 1
+    return _compile_cells(cells)
 
 
 def w_array(n: int = 3) -> GateArray:
@@ -452,6 +390,9 @@ def w_array(n: int = 3) -> GateArray:
 
     One source field carries sequence 1 on mode 1 and sequences 2..n on
     mode 0; a chain of n-1 two-way splits delivers a copy to every output.
+    The W placement table has every cell occupied, so compiling it would
+    tap every bus from every row: 4,221 nodes at n = 63 (3,969 of them
+    gates), where this broadcast needs 4n = 252.
     """
     if n < 2:
         raise ValueError("need at least 2 fields")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import ClassicalField
-from .sequences import PpsSet, sequence_product
+from .sequences import PpsSet, bit_carriers, sequence_product
 
 
 @dataclass
@@ -45,10 +45,13 @@ def to_waveform(sf: SymbolicField, pset: PpsSet) -> ClassicalField:
         if not 0 <= j < n:
             raise IndexError(f"sequence index {j} out of range 0..{n - 1}")
     samples = np.zeros((n, 2), dtype=np.complex128)
-    for j, coeff in sf.mode0.items():
-        samples[:, 0] += coeff * pset.carriers[j]
-    for j, coeff in sf.mode1.items():
-        samples[:, 1] += coeff * pset.carriers[j]
+    for mode, coeffs in enumerate((sf.mode0, sf.mode1)):
+        carriers = bit_carriers(pset.bit_rows[list(coeffs)], pset.mapping_phase)
+        weights = np.array(list(coeffs.values()), dtype=np.complex128)
+        terms = weights[:, None] * carriers
+        # an axis-0 sum adds the rows one after another, in dict order, so
+        # each slot is the running sum of coeff * carrier bit for bit
+        samples[:, mode] = terms.sum(axis=0, initial=0)
     return ClassicalField(samples)
 
 

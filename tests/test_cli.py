@@ -242,6 +242,29 @@ def test_bench_runs():
     assert "search(w=8,k=13)" in proc.stdout
 
 
+def test_reconstruct_negative_sample_is_usage_error(tmp_path):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text('{"cells": [["(1,1)"]]}')
+    proc = run_cli("reconstruct", "--matrix", matrix, "--sample", "-3")
+    assert proc.returncode == 2
+    assert "--sample" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_shor_degree_zero_is_not_the_default():
+    proc = run_cli("shor", "--modulus", "15", "--base", "7", "--degree", "0")
+    assert proc.returncode == 5
+    assert "no built-in polynomial for degree 0" in proc.stderr
+
+
+def test_grover_degree_zero_is_not_the_default(tmp_path):
+    db_path = tmp_path / "db.json"
+    save_grover_db(search_reference().database, db_path)
+    proc = run_cli("grover", "--db", db_path, "--query", "148", "--degree", "0")
+    assert proc.returncode == 5
+    assert "no built-in polynomial for degree 0" in proc.stderr
+
+
 @pytest.mark.parametrize("tau", ["-3", "nan"])
 def test_shor_bad_threshold_names_tau(tau):
     proc = run_cli("shor", "--modulus", "15", "--base", "7", "--tau", tau)

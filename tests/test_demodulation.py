@@ -100,6 +100,22 @@ def test_matrix_against_explicit_references(set3):
     assert matrix.status(2, 3).pair == (0, 0)
 
 
+def test_matrix_takes_one_reference_source(set3):
+    fields = canonical_inputs(set3, 2)
+    refs = [set3.sequence(1), set3.sequence(2)]
+    with pytest.raises(TypeError):
+        mode_status_matrix(fields, refs=refs, pset=set3)
+    with pytest.raises(TypeError):
+        mode_status_matrix(fields, refs=set3)
+    with pytest.raises(TypeError):
+        mode_status_matrix(fields, set3)
+    with pytest.raises(TypeError):
+        mode_status_matrix(fields, pset=refs)
+    with pytest.raises(DimensionMismatchError):
+        mode_status_matrix(fields)
+    assert mode_status_matrix(fields, refs=refs) == mode_status_matrix(fields, pset=set3)
+
+
 def test_matrix_equality_and_from_pairs(set3):
     fields = canonical_inputs(set3, 2)
     m1 = mode_status_matrix(fields, pset=set3)

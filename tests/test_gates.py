@@ -223,6 +223,38 @@ def test_product_array_matches_reference(set3):
     assert reconstruct(matrix) == ref.state
 
 
+_BELL_COUNTS = {"Combine": 2, "Input": 2, "ModeGate": 4, "Output": 2, "Split": 2}
+_BELL_FLIP_COUNTS = {
+    "Combine": 2, "Input": 2, "ModeGate": 4, "Output": 2, "PhaseFlip": 1, "Split": 2
+}
+
+
+# rewiring a named builder must not change its resource count
+@pytest.mark.parametrize(
+    "build, arg, counts",
+    [
+        (product_array, 1, {"Input": 1, "ModeGate": 1, "Output": 1}),
+        (product_array, 2, {"Input": 2, "ModeGate": 2, "Output": 2}),
+        (product_array, 3, {"Input": 3, "ModeGate": 3, "Output": 3}),
+        (product_array, 4, {"Input": 4, "ModeGate": 4, "Output": 4}),
+        (bell_array, "psi+", _BELL_COUNTS),
+        (bell_array, "psi-", _BELL_FLIP_COUNTS),
+        (bell_array, "phi+", _BELL_COUNTS),
+        (bell_array, "phi-", _BELL_FLIP_COUNTS),
+        (ghz_array, 3, {"Combine": 3, "Input": 3, "ModeGate": 6, "Output": 3, "Split": 3}),
+        (ghz_array, 4, {"Combine": 4, "Input": 4, "ModeGate": 8, "Output": 4, "Split": 4}),
+        (ghz_array, 5, {"Combine": 5, "Input": 5, "ModeGate": 10, "Output": 5, "Split": 5}),
+        (ghz_array, 6, {"Combine": 6, "Input": 6, "ModeGate": 12, "Output": 6, "Split": 6}),
+        (w_array, 2, {"Combine": 1, "Input": 2, "ModeGate": 2, "Output": 2, "Split": 1}),
+        (w_array, 3, {"Combine": 1, "Input": 3, "ModeGate": 3, "Output": 3, "Split": 2}),
+        (w_array, 4, {"Combine": 1, "Input": 4, "ModeGate": 4, "Output": 4, "Split": 3}),
+        (w_array, 5, {"Combine": 1, "Input": 5, "ModeGate": 5, "Output": 5, "Split": 4}),
+    ],
+)
+def test_named_builder_node_counts(build, arg, counts):
+    assert build(arg).node_counts() == counts
+
+
 def test_placement_table_api():
     table = PlacementTable.from_strings([["(1,1)", "0"], ["(0,-1)", "(1,0)"]])
     assert table.size == 2

@@ -20,8 +20,10 @@ from ppsim import (
     canonical_inputs,
     generate_m_sequence,
     load_pps_set,
+    SymbolicField,
     save_pps_set,
     sequence_product,
+    to_waveform,
 )
 
 MAPPINGS = [(PI, "pi"), (HALF_PI, "pi/2"), (0.75, "0.75")]
@@ -137,6 +139,39 @@ def test_canonical_inputs_skip_the_carrier_table():
         expect = small.carriers[k].view(np.float64)
         for mode in (0, 1):
             assert np.array_equal(fld.samples[:, mode].copy().view(np.float64), expect)
+
+
+def test_to_waveform_skips_the_carrier_table():
+    pset = build_pps_set(12)
+    tracemalloc.start()
+    try:
+        to_waveform(SymbolicField({1: 1.0}, {2: 1.0}), pset)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6
+
+
+@pytest.mark.parametrize("degree", [2, 3, 5, 8])
+def test_to_waveform_matches_carrier_sum(degree):
+    # the reference adds coeff * carriers[j] one index after another
+    pset = build_pps_set(degree)
+    rng = np.random.default_rng(degree)
+    for _ in range(20):
+        maps = []
+        for _ in range(2):
+            k = int(rng.integers(0, min(12, pset.length) + 1))
+            idx = rng.choice(pset.length, size=k, replace=False).tolist()
+            coeffs = rng.normal(size=k) + 1j * rng.normal(size=k)
+            coeffs[rng.random(k) < 0.3] = -1.0
+            maps.append(dict(zip(idx, coeffs.tolist())))
+        sf = SymbolicField(*maps)
+        expect = np.zeros((pset.length, 2), dtype=np.complex128)
+        for mode, coeffs in enumerate((sf.mode0, sf.mode1)):
+            for j, coeff in coeffs.items():
+                expect[:, mode] += coeff * pset.carriers[j]
+        got = to_waveform(sf, pset).samples
+        assert np.array_equal(got.view(np.float64), expect.view(np.float64))
 
 
 def test_load_accepts_comments_spaces_and_late_headers(tmp_path, set3):

@@ -144,7 +144,8 @@ def test_matrix_matches_per_cell_demodulation():
     ]
     fields += canonical_inputs(pset, 3)
     for refs in (pset, [pset.sequence(j) for j in (3, 1, 15)]):
-        matrix = mode_status_matrix(fields[:8], refs=refs, tau=0.4)
+        given = {"refs": refs} if isinstance(refs, list) else {"pset": refs}
+        matrix = mode_status_matrix(fields[:8], tau=0.4, **given)
         seqs = refs if isinstance(refs, list) else [pset.sequence(j) for j in range(1, 9)]
         for i, fld in enumerate(fields[:8], start=1):
             for j, seq in enumerate(seqs, start=1):
