@@ -29,19 +29,17 @@ from .gates import (
     product_array,
     w_array,
 )
-from .reconstruct import (
-    SequencePermutation,
-    SimulatedState,
-    reconstruct,
-    usable_rotations,
-)
+from .reconstruct import SimulatedState, reconstruct, rotation_columns, usable_rotations
 from .sequences import PpsSet
 from .symbolic import SymbolicField, to_waveform
 
 
-def _bit(value: int, k: int, width: int) -> int:
-    """Bit k (1-based, MSB first) of a width-bit integer."""
-    return (value >> (width - k)) & 1
+def _msb_bits(values, width: int) -> np.ndarray:
+    """(len(values), width) bits, MSB first; read from bytes, so any width works."""
+    size = (width + 7) // 8
+    raw = b"".join(int(v).to_bytes(size, "big") for v in values)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8)).reshape(-1, 8 * size)
+    return bits[:, 8 * size - width :]
 
 
 @dataclass
@@ -95,20 +93,14 @@ def shor_encode(inst: ShorInstance, pset: PpsSet) -> PlacementTable:
         raise DimensionMismatchError(
             f"instance needs {n} sequences, set provides {pset.usable_count}"
         )
-    groups: dict[int, int] = {}
-    for x in range(1 << inst.x_bits):
-        value = inst.f(x)
-        if value not in groups:
-            groups[value] = len(groups) + 1
+    values = [inst.f(x) for x in range(1 << inst.x_bits)]
+    groups = {value: g for g, value in enumerate(dict.fromkeys(values), start=1)}
     if len(groups) > n:
         raise DimensionMismatchError("more residue classes than table rotations")
+    joints = [(x << inst.f_bits) | value for x, value in enumerate(values)]
     cells = np.zeros((n, n, 2), dtype=np.int8)
-    for x in range(1 << inst.x_bits):
-        rotation = SequencePermutation(n, groups[inst.f(x)])
-        joint = (x << inst.f_bits) | inst.f(x)
-        for i in range(1, n + 1):
-            j = rotation.column_for(i)
-            cells[i - 1, j - 1, _bit(joint, i, n)] = 1
+    columns = rotation_columns(n, [groups[value] for value in values])  # [i, x]
+    cells[np.arange(n)[:, None], columns, _msb_bits(joints, n).T] = 1
     return PlacementTable(cells)
 
 
@@ -197,13 +189,13 @@ class GroverDatabase:
 def grover_symbolic(db: GroverDatabase) -> list[SymbolicField]:
     """Symbolic encoded fields: field k holds, per entry x with rotation
     R_r, sequence R_r(k) on mode bit_k(x); duplicates collapse to 1."""
+    columns = rotation_columns(db.width, [db.rotation_for(x) for x in db.entries]) + 1
+    bits = _msb_bits(db.entries, db.width).T  # [k, x]
     fields = [SymbolicField() for _ in range(db.width)]
-    for x in db.entries:
-        rotation = SequencePermutation(db.width, db.rotation_for(x))
-        for k in range(1, db.width + 1):
-            j = rotation.column_for(k)
-            target = fields[k - 1].mode1 if _bit(x, k, db.width) else fields[k - 1].mode0
-            target[j] = 1.0
+    for fld, field_columns, field_bits in zip(fields, columns, bits):
+        # dict.fromkeys keeps the entries' order, as to_waveform sums in it
+        fld.mode0.update(dict.fromkeys(field_columns[field_bits == 0].tolist(), 1.0))
+        fld.mode1.update(dict.fromkeys(field_columns[field_bits == 1].tolist(), 1.0))
     return fields
 
 
@@ -241,8 +233,8 @@ def grover_search(
         raise ValueError(f"query {query} does not fit in {db.width} bits")
     encoded = grover_encode(db, pset)
     gated = [
-        apply_mode_gate(fld, "C" if _bit(query, k, db.width) else "B")
-        for k, fld in enumerate(encoded, start=1)
+        apply_mode_gate(fld, "C" if bit else "B")
+        for fld, bit in zip(encoded, _msb_bits([query], db.width)[0])
     ]
     matrix = mode_status_matrix(gated, pset=pset, tau=tau)
     usable = usable_rotations(matrix)

@@ -44,12 +44,26 @@ def _write_json(path, obj) -> None:
     _write_text(path, json.dumps(obj, sort_keys=True) + "\n")
 
 
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
+
+
 def _read_json(path):
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from None
+
+
+def _as_int(value) -> int:
+    """An integer read from a file: a bool or a fractional number is an error."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {json.dumps(value)}")
+    return int(value)
 
 
 def _format_mapping(phase: float) -> str:
@@ -104,7 +118,7 @@ def _parse_bit_rows(row_lines: list[str], n: int, path) -> np.ndarray:
 
 def load_pps_set(path) -> PpsSet:
     """Read a PPS set file; its rows must be the family its headers generate."""
-    text = Path(path).read_text(encoding="utf-8")
+    text = _read_text(path)
     header: dict[str, str] = {}
     row_lines: list[str] = []
     for raw in text.splitlines():
@@ -163,7 +177,7 @@ def save_fields(fields: list[ClassicalField], path) -> None:
 def load_fields(path) -> list[ClassicalField]:
     obj = _read_json(path)
     try:
-        slot_count = int(obj["slot_count"])
+        slot_count = _as_int(obj["slot_count"])
         out = []
         for entry in obj["fields"]:
             samples = np.empty((slot_count, 2), dtype=np.complex128)
@@ -201,8 +215,7 @@ def save_matrix(obj, path, fmt: str | None = None) -> None:
 def load_matrix_cells(path) -> list[list[str]]:
     """Raw cell-string grid from a JSON or CSV matrix file."""
     if str(path).lower().endswith(".csv"):
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [row for row in csv.reader(fh) if row]
+        rows = [row for row in csv.reader(_read_text(path).splitlines()) if row]
     else:
         obj = _read_json(path)
         try:
@@ -241,7 +254,7 @@ def save_state(state: SimulatedState, path) -> None:
 def load_state(path) -> SimulatedState:
     obj = _read_json(path)
     try:
-        terms = {str(e["bitstring"]): int(e["coefficient"]) for e in obj}
+        terms = {str(e["bitstring"]): _as_int(e["coefficient"]) for e in obj}
         width = len(next(iter(terms))) if terms else 0
         return SimulatedState(width, terms)
     except (KeyError, TypeError, ValueError) as exc:
@@ -272,13 +285,13 @@ def _node_obj(nid: str, node: Node) -> dict:
 def _node_from_obj(entry: dict) -> Node:
     kind = str(entry["kind"]).lower()
     if kind == "input":
-        return Input(int(entry["index"]))
+        return Input(_as_int(entry["index"]))
     if kind == "output":
-        return Output(int(entry["index"]))
+        return Output(_as_int(entry["index"]))
     if kind == "split":
         gains = entry.get("gains")
         return Split(
-            int(entry["fanout"]),
+            _as_int(entry["fanout"]),
             None if gains is None else tuple(float(g) for g in gains),
         )
     if kind == "gate":
@@ -288,7 +301,7 @@ def _node_from_obj(entry: dict) -> Node:
     if kind == "flip":
         return PhaseFlip()
     if kind == "combine":
-        return Combine(int(entry["fanin"]))
+        return Combine(_as_int(entry["fanin"]))
     raise ValueError(f"unknown node kind {entry['kind']!r}")
 
 
@@ -332,7 +345,7 @@ def load_symbolic_field(path) -> SymbolicField:
         maps = {}
         for key in ("mode0", "mode1"):
             maps[key] = {
-                int(e["pps"]): complex(float(e["re"]), float(e["im"]))
+                _as_int(e["pps"]): complex(float(e["re"]), float(e["im"]))
                 for e in obj.get(key, [])
             }
     except (KeyError, TypeError, ValueError) as exc:
@@ -356,15 +369,15 @@ def load_grover_db(path) -> GroverDatabase:
     obj = _read_json(path)
     try:
         if isinstance(obj, list):
-            entries = tuple(int(x) for x in obj)
+            entries = tuple(_as_int(x) for x in obj)
             width = max((x.bit_length() for x in entries), default=1)
             return GroverDatabase(max(width, 1), entries)
-        entries = tuple(int(x) for x in obj["entries"])
+        entries = tuple(_as_int(x) for x in obj["entries"])
         fallback = max(max((x.bit_length() for x in entries), default=1), 1)
-        width = int(obj.get("width", fallback))
+        width = _as_int(obj.get("width", fallback))
         rotations = obj.get("rotations")
         if rotations is not None:
-            rotations = {int(k): int(v) for k, v in rotations.items()}
+            rotations = {_as_int(k): _as_int(v) for k, v in rotations.items()}
         return GroverDatabase(width, entries, rotations)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad database file ({exc})") from None

@@ -23,6 +23,7 @@ import numpy as np
 from .demod import SignGrid
 from .errors import DimensionMismatchError
 from .fields import ClassicalField, Unitary2
+from .reconstruct import rotation_columns
 from .sequences import PpsSet
 
 GATE_KINDS = ("A", "B", "C", "D")
@@ -375,13 +376,12 @@ def bell_array(variant: str = "psi+") -> GateArray:
 
 
 def ghz_array(n: int = 3) -> GateArray:
-    """Cyclic chain: field i gets sequence i on mode 0, sequence i+1 on mode 1."""
+    """Cyclic chain: field i gets sequence i on mode 0, sequence i+1 on mode 1
+    (rotation R_1 carries |0...0>, rotation R_2 carries |1...1>)."""
     if n < 3:
         raise ValueError("chain needs at least 3 fields; use bell_array for pairs")
-    idx = np.arange(n)
     cells = np.zeros((n, n, 2), dtype=np.int8)
-    cells[idx, idx, 0] = 1
-    cells[idx, (idx + 1) % n, 1] = 1
+    cells[np.arange(n)[:, None], rotation_columns(n, [1, 2]), [0, 1]] = 1
     return _compile_cells(cells)
 
 

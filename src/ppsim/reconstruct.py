@@ -1,7 +1,7 @@
 """Reconstruction of simulated states from mode status matrices.
 
 A square status matrix is read along its cyclic diagonals: rotation r
-pairs field i with reference column ((i + r - 2) mod n) + 1. Each rotation
+pairs each field with one reference column, by `rotation_columns`. Each rotation
 whose statuses are all nonzero is usable and contributes one product term;
 the sum over rotations, with integer coefficients reduced by their common
 factor, is the simulated state. One vectorised scan of the sign grid
@@ -20,6 +20,12 @@ from .demod import ModeStatusMatrix, SignGrid
 from .errors import DimensionMismatchError, UnrepresentableStateError
 
 
+def rotation_columns(n: int, rotations) -> np.ndarray:
+    """(n, len(rotations)) 0-based columns: [i, k] pairs 0-based field i
+    with column (i + r - 1) mod n of 1-based rotation r = rotations[k]."""
+    return (np.arange(n)[:, None] + np.asarray(rotations, dtype=np.int64) - 1) % n
+
+
 @dataclass(frozen=True)
 class SequencePermutation:
     """Cyclic column rotation R_r acting on n reference columns."""
@@ -35,11 +41,11 @@ class SequencePermutation:
 
     def column_for(self, i: int) -> int:
         """Reference column paired with field i (both 1-based)."""
-        return (i + self.rotation - 2) % self.order + 1
+        return int(self.columns0()[i - 1]) + 1
 
     def columns0(self) -> np.ndarray:
         """0-based column indexes for fields 0..n-1."""
-        return (np.arange(self.order) + self.rotation - 1) % self.order
+        return rotation_columns(self.order, [self.rotation])[:, 0]
 
 
 def cyclic_permutations(n: int) -> list[SequencePermutation]:
@@ -103,9 +109,9 @@ def usable_rotations(grid: SignGrid) -> np.ndarray:
     n, m = occupied.shape
     if n != m:
         raise DimensionMismatchError(f"matrix is {n}x{m}, rotations need a square grid")
-    rows = np.arange(n)
-    diagonals = occupied[rows[:, None], (rows[:, None] + rows) % n]  # [i, r - 1]
-    return np.flatnonzero(diagonals.all(axis=0)) + 1
+    rotations = np.arange(1, n + 1)
+    diagonals = occupied[np.arange(n)[:, None], rotation_columns(n, rotations)]
+    return rotations[diagonals.all(axis=0)]
 
 
 def _diagonal(grid: SignGrid, perm: SequencePermutation) -> list[list[int]]:

@@ -303,3 +303,50 @@ def test_demod_bad_pps_file_is_format_error(tmp_path, header, rows):
     proc = run_cli("demod", "--fields", fields, "--pps", bad)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["demod", "--fields", "{bad}.json", "--pps", "{pps}"],
+        ["demod", "--fields", "{fields}", "--pps", "{bad}.pps"],
+        ["reconstruct", "--matrix", "{bad}.json"],
+        ["reconstruct", "--matrix", "{bad}.csv"],
+        ["grover", "--db", "{bad}.json", "--query", "1"],
+        ["simulate", "--inputs", "{fields}", "--circuit", "{bad}.json"],
+        ["simulate", "--inputs", "{bad}.json"],
+        ["simulate", "--canonical", "2", "--pps", "{bad}.pps"],
+    ],
+    ids=[
+        "demod-fields",
+        "demod-pps",
+        "reconstruct-json",
+        "reconstruct-csv",
+        "grover-db",
+        "simulate-circuit",
+        "simulate-inputs",
+        "simulate-pps",
+    ],
+)
+def test_non_utf8_file_is_format_error(tmp_path, set3, args):
+    paths = {"pps": tmp_path / "set3.pps", "fields": tmp_path / "fields.json"}
+    save_pps_set(set3, paths["pps"])
+    save_fields(canonical_inputs(set3, 2), paths["fields"])
+    paths["bad"] = tmp_path / "bad"
+    argv = [arg.format(**paths) for arg in args]
+    bad = next(arg for arg in argv if arg.startswith(str(paths["bad"])))
+    with open(bad, "wb") as fh:
+        fh.write(b"\xff\xfe")
+    proc = run_cli(*argv)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith(f"error: {bad}: not UTF-8 text")
+
+
+def test_grover_fractional_entry_is_format_error(tmp_path):
+    db_path = tmp_path / "db.json"
+    db_path.write_text("[61.9, 63]")
+    proc = run_cli("grover", "--db", db_path, "--query", "61")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith(f"error: {db_path}: bad database file")
+    assert "61.9" in proc.stderr
+    assert proc.stdout == ""

@@ -1,5 +1,6 @@
 """Serialization round-trips and malformed-file rejection."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -245,3 +246,77 @@ def test_circuit_nonfinite_or_negative_parameters(tmp_path, node):
     path.write_text(json.dumps({"nodes": nodes, "edges": edges}))
     with pytest.raises(FormatError, match="bad circuit file"):
         load_circuit(path)
+
+
+@pytest.mark.parametrize(
+    "loader, suffix",
+    [
+        (load_pps_set, ".pps"),
+        (load_fields, ".json"),
+        (load_matrix, ".json"),
+        (load_matrix, ".csv"),
+        (load_placement, ".csv"),
+        (load_state, ".json"),
+        (load_circuit, ".json"),
+        (load_symbolic_field, ".json"),
+        (load_grover_db, ".json"),
+    ],
+)
+def test_non_utf8_file_names_the_path(tmp_path, loader, suffix):
+    path = tmp_path / ("bad" + suffix)
+    path.write_bytes(b"\xff\xfe")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: not UTF-8 text")):
+        loader(path)
+
+
+_CIRCUIT_NODES = [
+    {"id": "in0", "kind": "input", "index": 0},
+    {"id": "s", "kind": "split", "fanout": 2},
+    {"id": "c", "kind": "combine", "fanin": 2},
+    {"id": "out0", "kind": "output", "index": 0},
+]
+
+
+def _circuit(key, value):
+    nodes = [dict(n, **{key: value}) if key in n else n for n in _CIRCUIT_NODES]
+    edges = [["in0", "s"], ["s", "c"], ["s", "c"], ["c", "out0"]]
+    return {"nodes": nodes, "edges": edges}
+
+
+@pytest.mark.parametrize(
+    "loader, obj",
+    [
+        (load_state, [{"bitstring": "01", "coefficient": 1.5}]),
+        (load_state, [{"bitstring": "01", "coefficient": True}]),
+        (load_grover_db, [61.9, 63]),
+        (load_grover_db, [True]),
+        (load_grover_db, [float("inf")]),
+        (load_grover_db, {"width": 8.5, "entries": [61]}),
+        (load_grover_db, {"width": 8, "entries": [61.5]}),
+        (load_grover_db, {"width": 8, "entries": [61], "rotations": {"61": 1.5}}),
+        (load_grover_db, {"width": 8, "entries": [61], "rotations": {"61": False}}),
+        (load_fields, {"slot_count": 2.5, "fields": []}),
+        (load_circuit, _circuit("index", 0.5)),
+        (load_circuit, _circuit("fanout", 2.5)),
+        (load_circuit, _circuit("fanin", True)),
+        (load_symbolic_field, {"mode0": [{"pps": 1.5, "re": 1.0, "im": 0.0}]}),
+    ],
+)
+def test_non_integral_numbers_are_rejected(tmp_path, loader, obj):
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: ") + ".*expected an integer"):
+        loader(path)
+
+
+def test_integral_numbers_load_as_before(tmp_path):
+    path = tmp_path / "file.json"
+    path.write_text(json.dumps([{"bitstring": "01", "coefficient": 2.0}]))
+    assert load_state(path) == SimulatedState(2, {"01": 1})
+    db_obj = {"width": 8.0, "entries": [61.0, "63"], "rotations": {"61": 2.0, "63": 1}}
+    path.write_text(json.dumps(db_obj))
+    db = load_grover_db(path)
+    assert (db.width, db.entries, db.rotations) == (8, (61, 63), {61: 2, 63: 1})
+    path.write_text(json.dumps(_circuit("fanout", 2.0)))
+    split = load_circuit(path).nodes["s"]
+    assert split.fanout == 2 and type(split.fanout) is int
