@@ -10,6 +10,7 @@ the query's bit pattern and looking for a rotation whose statuses survive.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -32,6 +33,13 @@ from .gates import (
 from .reconstruct import SimulatedState, reconstruct, rotation_columns, usable_rotations
 from .sequences import PpsSet
 from .symbolic import SymbolicField, to_waveform
+
+
+def _as_int(value) -> int:
+    """An integer given by a caller or a file: a bool or a fractional number is an error."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {json.dumps(value)}")
+    return int(value)
 
 
 def _msb_bits(values, width: int) -> np.ndarray:
@@ -162,14 +170,14 @@ class GroverDatabase:
     def __post_init__(self):
         if self.width < 1:
             raise ValueError("width must be positive")
-        self.entries = tuple(int(x) for x in self.entries)
+        self.entries = tuple(_as_int(x) for x in self.entries)
         if len(set(self.entries)) != len(self.entries):
             raise ValueError("entries must be distinct")
         for x in self.entries:
             if not 0 <= x < (1 << self.width):
                 raise ValueError(f"entry {x} does not fit in {self.width} bits")
         if self.rotations is not None:
-            self.rotations = {int(k): int(r) for k, r in self.rotations.items()}
+            self.rotations = {_as_int(k): _as_int(r) for k, r in self.rotations.items()}
             missing = set(self.entries) - set(self.rotations)
             if missing:
                 raise ValueError(f"rotation map misses entries {sorted(missing)}")
@@ -183,13 +191,16 @@ class GroverDatabase:
         return self.entries.index(entry) % self.width + 1
 
     def assignment(self) -> dict[int, int]:
-        return {x: self.rotation_for(x) for x in self.entries}
+        """Rotation of every entry, in entry order, built in one pass."""
+        if self.rotations is not None:
+            return {x: self.rotations[x] for x in self.entries}
+        return {x: k % self.width + 1 for k, x in enumerate(self.entries)}
 
 
 def grover_symbolic(db: GroverDatabase) -> list[SymbolicField]:
     """Symbolic encoded fields: field k holds, per entry x with rotation
     R_r, sequence R_r(k) on mode bit_k(x); duplicates collapse to 1."""
-    columns = rotation_columns(db.width, [db.rotation_for(x) for x in db.entries]) + 1
+    columns = rotation_columns(db.width, list(db.assignment().values())) + 1
     bits = _msb_bits(db.entries, db.width).T  # [k, x]
     fields = [SymbolicField() for _ in range(db.width)]
     for fld, field_columns, field_bits in zip(fields, columns, bits):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import GroverDatabase
+from .algorithms import GroverDatabase, _as_int
 from .demod import ModeStatusMatrix, SignGrid
 from .errors import FormatError, SimulationError
 from .fields import ClassicalField
@@ -57,13 +57,6 @@ def _read_json(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from None
-
-
-def _as_int(value) -> int:
-    """An integer read from a file: a bool or a fractional number is an error."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {json.dumps(value)}")
-    return int(value)
 
 
 def _format_mapping(phase: float) -> str:

@@ -211,6 +211,8 @@ class GateArray:
         for nid in self._order:
             node = self.nodes[nid]
             taken = [edge_values[ei] for ei in self._in_edges[nid]]
+            for ei in self._in_edges[nid]:
+                edge_values[ei] = None  # each edge has one reader: free it once read
             if isinstance(node, Input):
                 value = inputs[node.index].samples
             elif isinstance(node, Output):

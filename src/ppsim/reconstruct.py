@@ -1,15 +1,17 @@
 """Reconstruction of simulated states from mode status matrices.
 
 A square status matrix is read along its cyclic diagonals: rotation r
-pairs each field with one reference column, by `rotation_columns`. Each rotation
-whose statuses are all nonzero is usable and contributes one product term;
-the sum over rotations, with integer coefficients reduced by their common
+pairs each field with one reference column, by `rotation_columns`, and one
+gather reads the sign pairs of any set of rotations. Each rotation whose
+statuses are all nonzero is usable and contributes one product term; the
+sum over rotations, with integer coefficients reduced by their common
 factor, is the simulated state. One vectorised scan of the sign grid
 finds the usable rotations for reconstruction, sampling and search.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -26,33 +28,6 @@ def rotation_columns(n: int, rotations) -> np.ndarray:
     return (np.arange(n)[:, None] + np.asarray(rotations, dtype=np.int64) - 1) % n
 
 
-@dataclass(frozen=True)
-class SequencePermutation:
-    """Cyclic column rotation R_r acting on n reference columns."""
-
-    order: int
-    rotation: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be positive")
-        if not 1 <= self.rotation <= self.order:
-            raise ValueError("rotation must lie in 1..order")
-
-    def column_for(self, i: int) -> int:
-        """Reference column paired with field i (both 1-based)."""
-        return int(self.columns0()[i - 1]) + 1
-
-    def columns0(self) -> np.ndarray:
-        """0-based column indexes for fields 0..n-1."""
-        return rotation_columns(self.order, [self.rotation])[:, 0]
-
-
-def cyclic_permutations(n: int) -> list[SequencePermutation]:
-    """All n cyclic rotations R_1 (identity) through R_n."""
-    return [SequencePermutation(n, r) for r in range(1, n + 1)]
-
-
 @dataclass
 class SimulatedState:
     """Integer-coefficient superposition over n-digit binary kets.
@@ -67,7 +42,7 @@ class SimulatedState:
     def __post_init__(self):
         cleaned: dict[str, int] = {}
         for bits, coeff in self.terms.items():
-            if len(bits) != self.width or set(bits) - {"0", "1"}:
+            if len(bits) != self.width or bits.strip("01"):
                 raise ValueError(f"bad ket label {bits!r} for width {self.width}")
             if int(coeff) != coeff:
                 raise ValueError("coefficients must be integers")
@@ -81,7 +56,7 @@ class SimulatedState:
         return not self.terms
 
     def sorted_terms(self) -> list[tuple[str, int]]:
-        return sorted(self.terms.items())
+        return list(self.terms.items())
 
     def coefficient(self, bits: str) -> int:
         return self.terms.get(bits, 0)
@@ -103,54 +78,37 @@ class SimulatedState:
         return text
 
 
+def _diagonals(grid: SignGrid, rotations) -> np.ndarray:
+    """(len(rotations), n, 2) sign pairs: [k, i] is what rotation rotations[k]
+    reads on field i, gathered in one step through `rotation_columns`."""
+    n = grid.cells.shape[0]
+    return grid.cells[np.arange(n), rotation_columns(n, rotations).T]
+
+
 def usable_rotations(grid: SignGrid) -> np.ndarray:
     """Rotations r (1-based, ascending) whose cyclic diagonal has no empty cell."""
-    occupied = grid.cells.any(axis=2)
-    n, m = occupied.shape
+    n, m = grid.cells.shape[:2]
     if n != m:
         raise DimensionMismatchError(f"matrix is {n}x{m}, rotations need a square grid")
     rotations = np.arange(1, n + 1)
-    diagonals = occupied[np.arange(n)[:, None], rotation_columns(n, rotations)]
-    return rotations[diagonals.all(axis=0)]
-
-
-def _diagonal(grid: SignGrid, perm: SequencePermutation) -> list[list[int]]:
-    """Sign pairs [a, b] the rotation reads, field by field."""
-    return grid.cells[np.arange(perm.order), perm.columns0()].tolist()
-
-
-def term_for_permutation(
-    matrix: ModeStatusMatrix, perm: SequencePermutation
-) -> dict[str, int]:
-    """Product term of one rotation, expanded over ket labels.
-
-    Field i contributes the factor (a|0> + b|1>) read from its rotated
-    status; any zero status kills the whole term (empty result).
-    """
-    if matrix.field_count != perm.order:
-        raise DimensionMismatchError("permutation order differs from matrix size")
-    terms = {"": 1}
-    for a, b in _diagonal(matrix, perm):
-        if a == 0 and b == 0:
-            return {}
-        grown: dict[str, int] = {}
-        for bits, coeff in terms.items():
-            if a != 0:
-                grown[bits + "0"] = coeff * a
-            if b != 0:
-                grown[bits + "1"] = coeff * b
-        terms = grown
-    return terms
+    diagonals = _diagonals(grid, rotations)
+    # a | b is nonzero exactly when the cell is not empty
+    return rotations[(diagonals[..., 0] | diagonals[..., 1]).all(axis=1)]
 
 
 def reconstruct(matrix: ModeStatusMatrix) -> SimulatedState:
-    """Sum the product terms of the usable rotations of a square matrix."""
-    n = matrix.field_count
+    """Sum the product terms of the usable rotations of a square matrix.
+
+    Field i of a rotation contributes the factor (a|0> + b|1>) read from its
+    rotated status; the factor list expands in one product, kets ascending.
+    """
     total: Counter[str] = Counter()
-    for r in usable_rotations(matrix).tolist():
-        for bits, coeff in term_for_permutation(matrix, SequencePermutation(n, r)).items():
-            total[bits] += coeff
-    return SimulatedState(n, {b: c for b, c in total.items() if c != 0})
+    for diagonal in _diagonals(matrix, usable_rotations(matrix)).tolist():
+        digits = [("0" if a else "") + ("1" if b else "") for a, b in diagonal]
+        signs = [[s for s in pair if s] for pair in diagonal]
+        labels = map("".join, itertools.product(*digits))
+        total.update(dict(zip(labels, map(math.prod, itertools.product(*signs)))))
+    return SimulatedState(matrix.field_count, total)
 
 
 def sample_measurement(
@@ -167,9 +125,9 @@ def sample_measurement(
     usable = usable_rotations(matrix)
     if not usable.size:
         raise UnrepresentableStateError("unrepresentable state")
-    rotation = int(usable[int(gen.integers(len(usable)))])
+    rotation = usable[int(gen.integers(len(usable)))]
     digits = []
-    for a, b in _diagonal(matrix, SequencePermutation(matrix.field_count, rotation)):
+    for a, b in _diagonals(matrix, [rotation])[0].tolist():
         if a != 0 and b != 0:
             digits.append("01"[int(gen.integers(2))])
         else:

@@ -139,6 +139,27 @@ def test_grover_database_validation():
         GroverDatabase(width=3, entries=(1,), rotations={1: 4})
 
 
+@pytest.mark.parametrize(
+    "entries, rotations",
+    [
+        ((61.9, 63), None),
+        ((True, 63), None),
+        ((61, 63), {61.5: 1, 63: 2}),
+        ((61, 63), {61: 1, 63: 1.7}),
+        ((61, 63), {61: True, 63: 2}),
+    ],
+)
+def test_grover_database_rejects_non_integers(entries, rotations):
+    with pytest.raises(ValueError, match="expected an integer"):
+        GroverDatabase(8, entries, rotations)
+
+
+def test_grover_database_keeps_integral_floats():
+    db = GroverDatabase(8, (61.0, 63), {61.0: 2.0, 63: 1})
+    assert db.entries == (61, 63) and db.assignment() == {61: 2, 63: 1}
+    assert all(type(v) is int for v in (*db.entries, *db.assignment().values()))
+
+
 def test_grover_default_rotation_round_robin():
     db = GroverDatabase(width=4, entries=(5, 9, 12))
     assert [db.rotation_for(e) for e in db.entries] == [1, 2, 3]

@@ -1,4 +1,6 @@
 """Gate arrays: node semantics, validation, builders, placement compiler."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from ppsim import (
     apply_mode_gate,
     apply_unitary,
     bell_array,
+    build_pps_set,
     canonical_inputs,
     compile_placement,
     format_cell,
@@ -341,3 +344,25 @@ def test_nonfinite_node_parameters_rejected():
         with pytest.raises(ValueError, match="split gains"):
             Split(2, gains=gains)
     assert Split(2, gains=(0.0, 1.0)).branch_gains() == (0.0, 1.0)
+
+
+def test_run_frees_edge_values_once_read():
+    # GHZ n = 63 on a degree-12 set: holding all 378 edge values peaks near 50 MB
+    pset = build_pps_set(12)
+    array = ghz_array(63)
+    inputs = canonical_inputs(pset, array.input_count)
+    tracemalloc.start()
+    try:
+        array.run(inputs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
+
+
+def test_run_output_does_not_alias_input(set3):
+    array = GateArray(nodes={"in0": Input(0), "out0": Output(0)}, edges=[("in0", "out0")])
+    fld = make_single_pps_field(set3, 1)
+    (out,) = array.run([fld])
+    assert np.array_equal(out.samples, fld.samples)
+    assert not np.shares_memory(out.samples, fld.samples)

@@ -7,13 +7,10 @@ import pytest
 from ppsim import (
     DimensionMismatchError,
     ModeStatusMatrix,
-    SequencePermutation,
     SimulatedState,
     UnrepresentableStateError,
-    cyclic_permutations,
     reconstruct,
     sample_measurement,
-    term_for_permutation,
 )
 from ppsim.fixtures import typical_reference
 
@@ -22,40 +19,9 @@ def _matrix(rows):
     return ModeStatusMatrix.from_pairs(rows)
 
 
-def test_permutation_columns():
-    r1 = SequencePermutation(8, 1)
-    assert [r1.column_for(i) for i in range(1, 9)] == [1, 2, 3, 4, 5, 6, 7, 8]
-    r2 = SequencePermutation(8, 2)
-    assert [r2.column_for(i) for i in range(1, 9)] == [2, 3, 4, 5, 6, 7, 8, 1]
-    r8 = SequencePermutation(8, 8)
-    assert r8.column_for(1) == 8 and r8.column_for(2) == 1
-    assert list(SequencePermutation(4, 3).columns0()) == [2, 3, 0, 1]
-    with pytest.raises(ValueError):
-        SequencePermutation(4, 0)
-    with pytest.raises(ValueError):
-        SequencePermutation(4, 5)
-
-
-def test_cyclic_permutations():
-    perms = cyclic_permutations(5)
-    assert [p.rotation for p in perms] == [1, 2, 3, 4, 5]
-    assert all(p.order == 5 for p in perms)
-
-
-def test_term_for_permutation_ghz():
-    matrix = typical_reference("ghz3").matrix
-    perms = cyclic_permutations(3)
-    assert term_for_permutation(matrix, perms[0]) == {"000": 1}
-    assert term_for_permutation(matrix, perms[1]) == {"111": 1}
-    assert term_for_permutation(matrix, perms[2]) == {}
-    with pytest.raises(DimensionMismatchError):
-        term_for_permutation(matrix, SequencePermutation(4, 1))
-
-
 def test_term_expands_mixed_cells():
     matrix = _matrix([[(1, -1), (0, 0)], [(0, 0), (1, 1)]])
-    term = term_for_permutation(matrix, SequencePermutation(2, 1))
-    assert term == {"00": 1, "01": 1, "10": -1, "11": -1}
+    assert reconstruct(matrix).terms == {"00": 1, "01": 1, "10": -1, "11": -1}
 
 
 def test_reconstruct_diagonal_full_superposition():

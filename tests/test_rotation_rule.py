@@ -15,7 +15,6 @@ from ppsim import (
     DimensionMismatchError,
     GroverDatabase,
     PlacementTable,
-    SequencePermutation,
     ShorInstance,
     SymbolicField,
     build_pps_set,
@@ -24,6 +23,7 @@ from ppsim import (
     shor_encode,
     usable_rotations,
 )
+from ppsim.reconstruct import rotation_columns
 
 
 def _column(i, r, n):
@@ -132,6 +132,12 @@ def test_grover_symbolic_matches_per_element_loop():
         assert _items(grover_symbolic(db)) == _items(_reference_grover_symbolic(db))
 
 
+def test_grover_symbolic_large_default_database():
+    entries = random.Random(4000).sample(range(1 << 20), 4000)
+    db = GroverDatabase(20, entries)
+    assert _items(grover_symbolic(db)) == _items(_reference_grover_symbolic(db))
+
+
 def test_grover_seventy_bit_database():
     rng = random.Random(70)
     entries = [rng.randrange(1 << 70) for _ in range(5)] + [(1 << 70) - 1]
@@ -147,11 +153,8 @@ def test_grover_seventy_bit_database():
 
 def test_columns_match_per_cell_formula():
     for n in range(1, 65):
-        for r in range(1, n + 1):
-            perm = SequencePermutation(n, r)
-            expected = [_column(i, r, n) for i in range(1, n + 1)]
-            assert (perm.columns0() + 1).tolist() == expected
-            assert [perm.column_for(i) for i in range(1, n + 1)] == expected
+        expected = [[_column(i, r, n) for r in range(1, n + 1)] for i in range(1, n + 1)]
+        assert (rotation_columns(n, range(1, n + 1)) + 1).tolist() == expected
 
 
 def test_usable_rotations_match_per_cell_formula():

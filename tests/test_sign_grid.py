@@ -4,6 +4,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import ppsim.algorithms as algorithms
 from ppsim import (
@@ -12,7 +15,6 @@ from ppsim import (
     GroverDatabase,
     ModeStatusMatrix,
     PlacementTable,
-    SequencePermutation,
     SignGrid,
     SimulatedState,
     UnrepresentableStateError,
@@ -23,7 +25,6 @@ from ppsim import (
     mode_status_matrix,
     reconstruct,
     sample_measurement,
-    term_for_permutation,
     usable_rotations,
 )
 
@@ -61,6 +62,31 @@ def _plain_support(cells):
     return kets
 
 
+def _reference_term(cells, r):
+    """Rotation r's product term, grown field by field by doubling a ket dict."""
+    n = len(cells)
+    terms = {"": 1}
+    for i in range(n):
+        a, b = cells[i][(i + r - 1) % n]
+        if a == 0 and b == 0:
+            return {}
+        grown = {}
+        for bits, coeff in terms.items():
+            if a != 0:
+                grown[bits + "0"] = coeff * a
+            if b != 0:
+                grown[bits + "1"] = coeff * b
+        terms = grown
+    return terms
+
+
+@st.composite
+def _sign_grids(draw):
+    """(n, n, 2) sign grids, n = 1..8, any signs."""
+    n = draw(st.integers(1, 8))
+    return ModeStatusMatrix(draw(arrays(np.int8, (n, n, 2), elements=st.integers(-1, 1))))
+
+
 def test_random_grids_cover_both_outcomes():
     usable_counts = Counter(bool(usable_rotations(g).size) for g in _random_grids())
     assert usable_counts[True] > 10 and usable_counts[False] > 10
@@ -71,13 +97,15 @@ def test_usable_rotations_match_plain_scan():
         assert usable_rotations(grid).tolist() == _plain_usable(grid.cells.tolist())
 
 
-def test_reconstruct_matches_sum_over_all_rotations():
-    for grid in _random_grids(per_size=4):
-        n = grid.field_count
-        total = Counter()
-        for r in range(1, n + 1):
-            total.update(term_for_permutation(grid, SequencePermutation(n, r)))
-        assert reconstruct(grid) == SimulatedState(n, {b: c for b, c in total.items() if c})
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_sign_grids())
+def test_reconstruct_matches_sum_over_all_rotations(grid):
+    cells = grid.cells.tolist()
+    n = len(cells)
+    total = Counter()
+    for r in range(1, n + 1):
+        total.update(_reference_term(cells, r))
+    assert reconstruct(grid) == SimulatedState(n, {b: c for b, c in total.items() if c})
 
 
 def test_sample_support_matches_plain_scan():
