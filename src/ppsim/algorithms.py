@@ -36,10 +36,21 @@ from .symbolic import SymbolicField, to_waveform
 
 
 def _as_int(value) -> int:
-    """An integer given by a caller or a file: a bool or a fractional number is an error."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {json.dumps(value)}")
-    return int(value)
+    """An integer given by a caller or a file: an integral number or a numeric string.
+
+    A bool, inf, NaN or a number that int() would change is an error,
+    whatever its type.
+    """
+    if isinstance(value, str):
+        return int(value)
+    try:
+        whole = int(value)
+    except (OverflowError, ValueError):  # inf, NaN
+        whole = None
+    if isinstance(value, (bool, np.bool_)) or whole is None or whole != value:
+        shown = json.dumps(value) if isinstance(value, (int, float)) else repr(value)
+        raise ValueError(f"expected an integer, got {shown}")
+    return whole
 
 
 def _msb_bits(values, width: int) -> np.ndarray:

@@ -58,6 +58,17 @@ class _UsageError(Exception):
     """Bad flag combination detected after parsing."""
 
 
+# checked in order, so a subclass is listed before its base class
+_EXIT_CODES = (
+    (_UsageError, 2),
+    (FormatError, 3),
+    (OSError, 3),
+    (DimensionMismatchError, 4),
+    (SimulationError, 5),
+    (ValueError, 5),
+)
+
+
 def cmd_pps_gen(args: argparse.Namespace) -> None:
     polynomial = None
     if args.poly:
@@ -172,21 +183,26 @@ def cmd_bench(args: argparse.Namespace) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    schema = dict(
+        epilog=_SCHEMA_NOTES, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser = argparse.ArgumentParser(
         prog="ppsim",
         description="Classical two-mode field simulator of quantum-state analogies.",
-        epilog=_SCHEMA_NOTES,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        **schema,
     )
     sub = parser.add_subparsers(dest="command")
 
+    def command(parent, name, handler, help_text, notes=False):
+        """Subcommand `name` running `handler`; `notes` appends the file schemas."""
+        cmd = parent.add_parser(name, help=help_text, **(schema if notes else {}))
+        cmd.set_defaults(handler=handler)
+        return cmd
+
     pps = sub.add_parser("pps", help="sequence-set utilities")
     pps_sub = pps.add_subparsers(dest="pps_command")
-    gen = pps_sub.add_parser(
-        "gen",
-        help="generate a PPS set and write it to a file",
-        epilog=_SCHEMA_NOTES,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+    gen = command(
+        pps_sub, "gen", cmd_pps_gen, "generate a PPS set and write it to a file", True
     )
     gen.add_argument("--degree", type=int, required=True, help="LFSR degree s >= 2")
     gen.add_argument(
@@ -196,13 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gen.add_argument("--mapping", choices=["pi", "pi/2"], default="pi")
     gen.add_argument("--out", required=True, help="output file")
-    gen.set_defaults(handler=cmd_pps_gen)
 
-    sim = sub.add_parser(
-        "simulate",
-        help="run fields through a gate-array circuit",
-        epilog=_SCHEMA_NOTES,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+    sim = command(
+        sub, "simulate", cmd_simulate, "run fields through a gate-array circuit", True
     )
     sim.add_argument("--circuit", default=None, help="circuit JSON (omit: passthrough)")
     sim.add_argument("--inputs", default=None, help="input field dump JSON")
@@ -221,51 +233,41 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write the output fields as a bit-exact JSON dump",
     )
-    sim.set_defaults(handler=cmd_simulate)
 
-    dem = sub.add_parser(
-        "demod",
-        help="demodulate fields into a mode status matrix",
-        epilog=_SCHEMA_NOTES,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+    dem = command(
+        sub, "demod", cmd_demod, "demodulate fields into a mode status matrix", True
     )
     dem.add_argument("--fields", required=True, help="field dump JSON")
     dem.add_argument("--pps", required=True, help="PPS set file")
     dem.add_argument("--tau", type=float, default=DEFAULT_THRESHOLD)
     dem.add_argument("--out", default=None, help="matrix file (.json or .csv)")
     dem.add_argument("--format", choices=["json", "csv"], default=None)
-    dem.set_defaults(handler=cmd_demod)
 
-    rec = sub.add_parser(
+    rec = command(
+        sub,
         "reconstruct",
-        help="reconstruct the simulated state from a matrix",
-        epilog=_SCHEMA_NOTES,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
+        cmd_reconstruct,
+        "reconstruct the simulated state from a matrix",
+        True,
     )
     rec.add_argument("--matrix", required=True, help="matrix file (.json or .csv)")
     rec.add_argument("--sample", type=int, default=0, metavar="K", help="draw K samples")
     rec.add_argument("--seed", type=int, default=0)
-    rec.set_defaults(handler=cmd_reconstruct)
 
-    shor = sub.add_parser("shor", help="factor a modulus via the period pipeline")
+    shor = command(sub, "shor", cmd_shor, "factor a modulus via the period pipeline")
     shor.add_argument("--modulus", type=int, required=True)
     shor.add_argument("--base", type=int, required=True)
-    shor.add_argument("--tau", type=float, default=DEFAULT_THRESHOLD)
-    shor.add_argument("--degree", type=int, default=None, help="PPS degree override")
-    shor.add_argument("--json", action="store_true")
-    shor.set_defaults(handler=cmd_shor)
-
-    grover = sub.add_parser("grover", help="membership search over a stored database")
+    grover = command(
+        sub, "grover", cmd_grover, "membership search over a stored database"
+    )
     grover.add_argument("--db", required=True, help="database JSON file")
     grover.add_argument("--query", type=int, required=True)
-    grover.add_argument("--tau", type=float, default=DEFAULT_THRESHOLD)
-    grover.add_argument("--degree", type=int, default=None, help="PPS degree override")
-    grover.add_argument("--json", action="store_true")
-    grover.set_defaults(handler=cmd_grover)
+    for cmd in (shor, grover):
+        cmd.add_argument("--tau", type=float, default=DEFAULT_THRESHOLD)
+        cmd.add_argument("--degree", type=int, default=None, help="PPS degree override")
+        cmd.add_argument("--json", action="store_true")
 
-    bench = sub.add_parser("bench", help="report pipeline node counts and timings")
-    bench.set_defaults(handler=cmd_bench)
-
+    command(sub, "bench", cmd_bench, "report pipeline node counts and timings")
     return parser
 
 
@@ -278,24 +280,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         handler(args)
-    except _UsageError as exc:
+    except tuple(cls for cls, _ in _EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DimensionMismatchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -44,19 +45,28 @@ def _write_json(path, obj) -> None:
     _write_text(path, json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _read_text(path) -> str:
+# a missing key, a wrong type or a bad value in a parsed JSON file
+_CONTENT_ERRORS = (KeyError, TypeError, ValueError)
+
+
+@contextmanager
+def _malformed(path, what: str, errors):
+    """Turn the listed errors into FormatError("<path>: <what> (<error>)")."""
     try:
+        yield
+    except errors as exc:
+        raise FormatError(f"{path}: {what} ({exc})") from None
+
+
+def _read_text(path) -> str:
+    with _malformed(path, "not UTF-8 text", UnicodeDecodeError):
         return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def _read_json(path):
     text = _read_text(path)
-    try:
+    with _malformed(path, "not valid JSON", json.JSONDecodeError):
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON ({exc})") from None
 
 
 def _format_mapping(phase: float) -> str:
@@ -124,12 +134,10 @@ def load_pps_set(path) -> PpsSet:
         else:
             row_lines.append(line)
     del text  # at degree 12 the text and the row lines are 33 MB each
-    try:
+    with _malformed(path, "bad PPS set file", (KeyError, ValueError)):
         degree = int(header["degree"])
         polynomial = tuple(int(t) for t in header["polynomial"].split(","))
         mapping = _parse_mapping(header["mapping"])
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"{path}: bad PPS set file ({exc})") from None
     if degree < 2:
         raise FormatError(f"{path}: degree must be >= 2, got {degree}")
     if len(polynomial) != degree + 1:
@@ -139,10 +147,8 @@ def load_pps_set(path) -> PpsSet:
         )
     rows = _parse_bit_rows(row_lines, 1 << degree, path)
     del row_lines
-    try:
+    with _malformed(path, "rows are not a PPS family", (SimulationError, ValueError)):
         family = build_pps_set(degree, polynomial, mapping, seed=tuple(rows[1, :degree]))
-    except (SimulationError, ValueError) as exc:
-        raise FormatError(f"{path}: rows are not a PPS family ({exc})") from None
     if not np.array_equal(family.bit_rows, rows):
         raise FormatError(
             f"{path}: rows differ from the family that the headers and row 1 generate"
@@ -169,7 +175,7 @@ def save_fields(fields: list[ClassicalField], path) -> None:
 
 def load_fields(path) -> list[ClassicalField]:
     obj = _read_json(path)
-    try:
+    with _malformed(path, "bad field dump", _CONTENT_ERRORS):
         slot_count = _as_int(obj["slot_count"])
         out = []
         for entry in obj["fields"]:
@@ -180,8 +186,6 @@ def load_fields(path) -> list[ClassicalField]:
                     raise ValueError(f"{key} has {len(pairs)} slots, not {slot_count}")
                 samples[:, mode] = [complex(float(re), float(im)) for re, im in pairs]
             out.append(ClassicalField(samples))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: bad field dump ({exc})") from None
     if not out:
         raise FormatError(f"{path}: field dump holds no fields")
     return out
@@ -211,10 +215,8 @@ def load_matrix_cells(path) -> list[list[str]]:
         rows = [row for row in csv.reader(_read_text(path).splitlines()) if row]
     else:
         obj = _read_json(path)
-        try:
+        with _malformed(path, "bad matrix file", (KeyError, TypeError)):
             rows = [[str(c) for c in row] for row in obj["cells"]]
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"{path}: bad matrix file ({exc})") from None
     if not rows or any(len(row) != len(rows[0]) for row in rows):
         raise FormatError(f"{path}: matrix rows are empty or ragged")
     return rows
@@ -246,12 +248,10 @@ def save_state(state: SimulatedState, path) -> None:
 
 def load_state(path) -> SimulatedState:
     obj = _read_json(path)
-    try:
+    with _malformed(path, "bad state file", _CONTENT_ERRORS):
         terms = {str(e["bitstring"]): _as_int(e["coefficient"]) for e in obj}
         width = len(next(iter(terms))) if terms else 0
         return SimulatedState(width, terms)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: bad state file ({exc})") from None
 
 
 def _node_obj(nid: str, node: Node) -> dict:
@@ -309,15 +309,11 @@ def save_circuit(array: GateArray, path) -> None:
 
 def load_circuit(path) -> GateArray:
     obj = _read_json(path)
-    try:
+    with _malformed(path, "bad circuit file", _CONTENT_ERRORS):
         nodes = {str(entry["id"]): _node_from_obj(entry) for entry in obj["nodes"]}
         edges = [(str(src), str(dst)) for src, dst in obj["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: bad circuit file ({exc})") from None
-    try:
+    with _malformed(path, "invalid circuit", ValueError):
         return GateArray(nodes, edges)
-    except ValueError as exc:
-        raise FormatError(f"{path}: invalid circuit ({exc})") from None
 
 
 def save_symbolic_field(sf: SymbolicField, path) -> None:
@@ -334,15 +330,13 @@ def save_symbolic_field(sf: SymbolicField, path) -> None:
 
 def load_symbolic_field(path) -> SymbolicField:
     obj = _read_json(path)
-    try:
+    with _malformed(path, "bad symbolic field file", _CONTENT_ERRORS):
         maps = {}
         for key in ("mode0", "mode1"):
             maps[key] = {
                 _as_int(e["pps"]): complex(float(e["re"]), float(e["im"]))
                 for e in obj.get(key, [])
             }
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: bad symbolic field file ({exc})") from None
     return SymbolicField(maps["mode0"], maps["mode1"])
 
 
@@ -360,7 +354,7 @@ def load_grover_db(path) -> GroverDatabase:
     For a bare list the width is the bit length of the largest entry.
     """
     obj = _read_json(path)
-    try:
+    with _malformed(path, "bad database file", _CONTENT_ERRORS):
         if isinstance(obj, list):
             entries = tuple(_as_int(x) for x in obj)
             width = max((x.bit_length() for x in entries), default=1)
@@ -372,5 +366,3 @@ def load_grover_db(path) -> GroverDatabase:
         if rotations is not None:
             rotations = {_as_int(k): _as_int(v) for k, v in rotations.items()}
         return GroverDatabase(width, entries, rotations)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: bad database file ({exc})") from None

@@ -41,10 +41,6 @@ class TypicalReference:
     state: SimulatedState
 
 
-def typical_kinds():
-    return tuple(sorted(_load("typical_states.json")))
-
-
 def typical_reference(kind):
     data = _load("typical_states.json")
     if kind not in data:

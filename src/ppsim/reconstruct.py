@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demod import ModeStatusMatrix, SignGrid
+from .demod import SignGrid
 from .errors import DimensionMismatchError, UnrepresentableStateError
 
 
@@ -96,8 +96,8 @@ def usable_rotations(grid: SignGrid) -> np.ndarray:
     return rotations[(diagonals[..., 0] | diagonals[..., 1]).all(axis=1)]
 
 
-def reconstruct(matrix: ModeStatusMatrix) -> SimulatedState:
-    """Sum the product terms of the usable rotations of a square matrix.
+def reconstruct(matrix: SignGrid) -> SimulatedState:
+    """Sum the product terms of the usable rotations of a square sign grid.
 
     Field i of a rotation contributes the factor (a|0> + b|1>) read from its
     rotated status; the factor list expands in one product, kets ascending.
@@ -108,11 +108,11 @@ def reconstruct(matrix: ModeStatusMatrix) -> SimulatedState:
         signs = [[s for s in pair if s] for pair in diagonal]
         labels = map("".join, itertools.product(*digits))
         total.update(dict(zip(labels, map(math.prod, itertools.product(*signs)))))
-    return SimulatedState(matrix.field_count, total)
+    return SimulatedState(matrix.cells.shape[0], total)
 
 
 def sample_measurement(
-    matrix: ModeStatusMatrix, rng: np.random.Generator | int | None = None
+    matrix: SignGrid, rng: np.random.Generator | int | None = None
 ) -> str:
     """Draw one ket label the way a projective readout would.
 

@@ -152,7 +152,6 @@ class PpsSet:
     polynomial: tuple[int, ...]
     mapping_phase: float
     bit_rows: np.ndarray  # (N, N) uint8; row j holds lambda^(j) bits
-    _carriers: np.ndarray | None = field(default=None, init=False, repr=False)
     _window_rows: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
@@ -167,10 +166,8 @@ class PpsSet:
 
     @property
     def carriers(self) -> np.ndarray:
-        """(N, N) complex matrix; row j is the carrier e^{i lambda^(j)}."""
-        if self._carriers is None:
-            self._carriers = bit_carriers(self.bit_rows, self.mapping_phase)
-        return self._carriers
+        """(N, N) complex carriers, row j is e^{i lambda^(j)}; computed per access."""
+        return bit_carriers(self.bit_rows, self.mapping_phase)
 
     def _rows_by_window(self) -> np.ndarray:
         """Table w -> index of the row whose first `degree` bits read w.

@@ -1,4 +1,7 @@
 """Factoring and membership-search pipelines plus typical-state wrappers."""
+from decimal import Decimal
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -147,11 +150,29 @@ def test_grover_database_validation():
         ((61, 63), {61.5: 1, 63: 2}),
         ((61, 63), {61: 1, 63: 1.7}),
         ((61, 63), {61: True, 63: 2}),
+        ((np.float32(61.9), 63), None),
+        ((np.float64(61.9), 63), None),
+        ((Fraction(123, 2), 63), None),
+        ((Decimal("61.5"), 63), None),
+        ((np.float32("nan"), 63), None),
+        ((np.True_, 63), None),
+        ((61, 63), {61: 1, 63: Decimal("Infinity")}),
+        ((61, 63), {61: 1, 63: np.float32(1.5)}),
     ],
 )
 def test_grover_database_rejects_non_integers(entries, rotations):
     with pytest.raises(ValueError, match="expected an integer"):
         GroverDatabase(8, entries, rotations)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [np.int16(61), np.float32(61.0), np.float64(61.0), Fraction(122, 2), Decimal("61")],
+)
+def test_grover_database_keeps_integral_numbers_of_any_type(value):
+    db = GroverDatabase(8, (value, 63), {value: 2, 63: 1})
+    assert db.entries == (61, 63) and db.assignment() == {61: 2, 63: 1}
+    assert all(type(v) is int for v in (*db.entries, *db.assignment().values()))
 
 
 def test_grover_database_keeps_integral_floats():

@@ -350,3 +350,14 @@ def test_grover_fractional_entry_is_format_error(tmp_path):
     assert proc.stderr.startswith(f"error: {db_path}: bad database file")
     assert "61.9" in proc.stderr
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("entry", ["Infinity", "NaN"])
+def test_grover_non_finite_entry_is_format_error(tmp_path, entry):
+    db_path = tmp_path / "db.json"
+    db_path.write_text(f"[{entry}, 63]")
+    proc = run_cli("grover", "--db", db_path, "--query", "63")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith(f"error: {db_path}: bad database file")
+    assert f"expected an integer, got {entry}" in proc.stderr
+    assert proc.stdout == ""

@@ -6,11 +6,19 @@ import numpy as np
 import pytest
 
 from ppsim import (
+    Combine,
     FormatError,
+    GateArray,
     GroverDatabase,
+    Input,
+    ModeGate,
+    Output,
+    PhaseFlip,
     PlacementTable,
     SimulatedState,
+    Split,
     SymbolicField,
+    Unitary,
     bell_array,
     build_pps_set,
     canonical_inputs,
@@ -168,6 +176,49 @@ def test_circuit_round_trip(tmp_path, set3):
         inputs = canonical_inputs(set3, array.input_count)
         for a, b in zip(array.run(inputs), loaded.run(inputs)):
             assert np.array_equal(a.samples, b.samples)
+
+
+def test_circuit_round_trip_every_node_kind(tmp_path, set3):
+    # one array holding every node kind, gated split gains and a unitary
+    nodes = {
+        "in0": Input(0),
+        "in1": Input(1),
+        "in2": Input(2),
+        "s": Split(2, gains=(0.25, 0.5)),
+        "gB": ModeGate("B"),
+        "u": Unitary(0.6, 1.1),
+        "gD": ModeGate("D"),
+        "f": PhaseFlip(),
+        "c": Combine(2),
+        "gC": ModeGate("C"),
+        "gA": ModeGate("A"),
+        "out0": Output(0),
+        "out1": Output(1),
+        "out2": Output(2),
+    }
+    edges = [
+        ("in0", "s"),
+        ("s", "gB"),
+        ("s", "gD"),
+        ("gB", "u"),
+        ("gD", "f"),
+        ("u", "c"),
+        ("f", "c"),
+        ("c", "out0"),
+        ("in1", "gC"),
+        ("gC", "out1"),
+        ("in2", "gA"),
+        ("gA", "out2"),
+    ]
+    array = GateArray(nodes, edges)
+    path = tmp_path / "circuit.json"
+    save_circuit(array, path)
+    loaded = load_circuit(path)
+    assert loaded.nodes == array.nodes
+    assert loaded.edges == array.edges
+    inputs = canonical_inputs(set3, array.input_count)
+    for a, b in zip(array.run(inputs), loaded.run(inputs), strict=True):
+        assert np.array_equal(a.samples.view(np.float64), b.samples.view(np.float64))
 
 
 def test_circuit_errors(tmp_path):

@@ -12,7 +12,7 @@ from ppsim import (
     reconstruct,
     sample_measurement,
 )
-from ppsim.fixtures import typical_reference
+from ppsim.fixtures import factoring_reference, typical_reference
 
 
 def _matrix(rows):
@@ -57,6 +57,14 @@ def test_reconstruct_signs():
     assert state == ref.state
     assert state.coefficient("11") == -1
     assert state.pretty() == "|00> - |11>"
+
+
+def test_reconstruct_placement_table():
+    # the derived placement table is the factoring state's own sign grid
+    ref = factoring_reference()
+    state = reconstruct(ref.placement_derived)
+    assert state.width == ref.placement_derived.size
+    assert list(state.terms) == list(ref.state_kets) and len(state.terms) == 16
 
 
 def test_simulated_state_api():

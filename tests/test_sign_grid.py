@@ -161,6 +161,14 @@ def test_matrix_and_table_share_the_grid():
         ModeStatusMatrix(cells, raw=np.zeros((2, 2)))
 
 
+def test_reconstruct_reads_a_placement_table():
+    for grid in _random_grids(seed=7, per_size=3):
+        table = PlacementTable(grid.cells)
+        assert reconstruct(table) == reconstruct(grid)
+        if usable_rotations(grid).size:
+            assert sample_measurement(table, 5) == sample_measurement(grid, 5)
+
+
 def test_matrix_matches_per_cell_demodulation():
     # the grid contraction sums in another order than the per-cell vdot,
     # so raws agree to a complex128 tolerance and signs exactly
