@@ -39,7 +39,9 @@ def _as_int(value) -> int:
     """An integer given by a caller or a file: an integral number or a numeric string.
 
     A bool, inf, NaN or a number that int() would change is an error,
-    whatever its type.
+    whatever its type. So is a float at or past the magnitude where its type
+    stops holding every integer (2**53 for a float), as it may not be the
+    number that was written.
     """
     if isinstance(value, str):
         return int(value)
@@ -47,6 +49,9 @@ def _as_int(value) -> int:
         whole = int(value)
     except (OverflowError, ValueError):  # inf, NaN
         whole = None
+    if isinstance(value, (float, np.floating)):
+        if abs(value) >= 2.0 ** (np.finfo(type(value)).nmant + 1):
+            whole = None
     if isinstance(value, (bool, np.bool_)) or whole is None or whole != value:
         shown = json.dumps(value) if isinstance(value, (int, float)) else repr(value)
         raise ValueError(f"expected an integer, got {shown}")
@@ -179,6 +184,7 @@ class GroverDatabase:
     rotations: dict[int, int] | None = None
 
     def __post_init__(self):
+        self.width = _as_int(self.width)
         if self.width < 1:
             raise ValueError("width must be positive")
         self.entries = tuple(_as_int(x) for x in self.entries)
@@ -197,9 +203,7 @@ class GroverDatabase:
                     raise ValueError(f"rotation {r} out of range 1..{self.width}")
 
     def rotation_for(self, entry: int) -> int:
-        if self.rotations is not None:
-            return self.rotations[entry]
-        return self.entries.index(entry) % self.width + 1
+        return self.assignment()[entry]
 
     def assignment(self) -> dict[int, int]:
         """Rotation of every entry, in entry order, built in one pass."""

@@ -2,8 +2,8 @@
 
 A field is N complex samples per mode, one sample per phase unit of the
 governing sequence set. The two orthogonal modes play the roles of |0> and
-|1>; all device operations (modulators, unitaries, splitters, combiners)
-act slotwise and are linear in the samples.
+|1>; modulation, rotations and combining act slotwise and are linear in
+the samples. The devices themselves are the gate-array nodes of ppsim.gates.
 """
 
 from __future__ import annotations
@@ -115,45 +115,6 @@ def modulate(fld: ClassicalField, seq: PhaseSequence) -> ClassicalField:
 def apply_unitary(fld: ClassicalField, u: Unitary2) -> ClassicalField:
     """Apply the two-mode rotation to every slot."""
     return ClassicalField(fld.samples @ u.matrix.T)
-
-
-def beam_split(
-    fld: ClassicalField,
-    power_ratio: tuple[float, float] = (0.5, 0.5),
-    extra_phases: tuple[float, float] = (0.0, 0.0),
-) -> tuple[ClassicalField, ClassicalField]:
-    """Split one field into two with a set power ratio.
-
-    Output a is C_a (mode0 + e^{i phi_a} mode1) slotwise with
-    C_a = sqrt(r_a / (r_a + r_b)); likewise for output b. Total power is
-    preserved. Each output keeps its mode0 untouched and phase-shifts only
-    its mode1 content, matching a splitter with per-port extra phase.
-    """
-    ra, rb = power_ratio
-    if ra < 0 or rb < 0:
-        raise ValueError("power ratio components must be nonnegative")
-    total = ra + rb
-    if total == 0:
-        raise ValueError("power ratio components are both zero")
-    outs = []
-    for r, phi in zip((ra, rb), extra_phases):
-        gain = math.sqrt(r / total)
-        shifted = fld.samples.copy()
-        shifted[:, MODE1] *= np.exp(1j * phi)
-        outs.append(ClassicalField(gain * shifted))
-    return outs[0], outs[1]
-
-
-def mode_split(
-    fld: ClassicalField, extra_phases: tuple[float, float] = (0.0, 0.0)
-) -> tuple[ClassicalField, ClassicalField]:
-    """Separate the two modes: (mode0-only field, mode1-only field)."""
-    phi_a, phi_b = extra_phases
-    out_a = np.zeros_like(fld.samples)
-    out_b = np.zeros_like(fld.samples)
-    out_a[:, MODE0] = fld.samples[:, MODE0] * np.exp(1j * phi_a)
-    out_b[:, MODE1] = fld.samples[:, MODE1] * np.exp(1j * phi_b)
-    return ClassicalField(out_a), ClassicalField(out_b)
 
 
 def combine(fields: list[ClassicalField]) -> ClassicalField:

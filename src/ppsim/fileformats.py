@@ -9,6 +9,7 @@ floats with full repr precision and therefore round-trip bit-exactly.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from contextlib import contextmanager
@@ -254,48 +255,41 @@ def load_state(path) -> SimulatedState:
         return SimulatedState(width, terms)
 
 
+def _split_gains(value) -> tuple[float, ...] | None:
+    """Split gains of a circuit file; null or absent means unit gains."""
+    return None if value is None else tuple(float(g) for g in value)
+
+
+# circuit form of each node kind: its class and a reader per parameter key,
+# keys in the order of the class's fields
+_NODE_FORMS = {
+    "input": (Input, {"index": _as_int}),
+    "output": (Output, {"index": _as_int}),
+    "split": (Split, {"fanout": _as_int, "gains": _split_gains}),
+    "gate": (ModeGate, {"gate": lambda kind: str(kind).upper()}),
+    "unitary": (Unitary, {"chi": float, "theta": float}),
+    "flip": (PhaseFlip, {}),
+    "combine": (Combine, {"fanin": _as_int}),
+}
+_NODE_KINDS = {cls: kind for kind, (cls, _) in _NODE_FORMS.items()}
+
+
 def _node_obj(nid: str, node: Node) -> dict:
-    if isinstance(node, Input):
-        return {"id": nid, "kind": "input", "index": node.index}
-    if isinstance(node, Output):
-        return {"id": nid, "kind": "output", "index": node.index}
-    if isinstance(node, Split):
-        obj = {"id": nid, "kind": "split", "fanout": node.fanout}
-        if node.gains is not None:
-            obj["gains"] = list(node.gains)
-        return obj
-    if isinstance(node, ModeGate):
-        return {"id": nid, "kind": "gate", "gate": node.kind}
-    if isinstance(node, Unitary):
-        return {"id": nid, "kind": "unitary", "chi": node.chi, "theta": node.theta}
-    if isinstance(node, PhaseFlip):
-        return {"id": nid, "kind": "flip"}
-    if isinstance(node, Combine):
-        return {"id": nid, "kind": "combine", "fanin": node.fanin}
-    raise TypeError(f"cannot serialize node {type(node).__name__}")
+    kind = _NODE_KINDS[type(node)]
+    values = (getattr(node, f.name) for f in dataclasses.fields(node))
+    params = zip(_NODE_FORMS[kind][1], values)
+    # unit gains (None) are saved by leaving the key out
+    return {"id": nid, "kind": kind, **{k: v for k, v in params if v is not None}}
 
 
 def _node_from_obj(entry: dict) -> Node:
     kind = str(entry["kind"]).lower()
-    if kind == "input":
-        return Input(_as_int(entry["index"]))
-    if kind == "output":
-        return Output(_as_int(entry["index"]))
-    if kind == "split":
-        gains = entry.get("gains")
-        return Split(
-            _as_int(entry["fanout"]),
-            None if gains is None else tuple(float(g) for g in gains),
-        )
-    if kind == "gate":
-        return ModeGate(str(entry["gate"]).upper())
-    if kind == "unitary":
-        return Unitary(float(entry["chi"]), float(entry["theta"]))
-    if kind == "flip":
-        return PhaseFlip()
-    if kind == "combine":
-        return Combine(_as_int(entry["fanin"]))
-    raise ValueError(f"unknown node kind {entry['kind']!r}")
+    if kind not in _NODE_FORMS:
+        raise ValueError(f"unknown node kind {entry['kind']!r}")
+    cls, readers = _NODE_FORMS[kind]
+    # gains may be absent; any other absent key is a KeyError
+    values = (entry.get(k) if k == "gains" else entry[k] for k in readers)
+    return cls(*(read(v) for read, v in zip(readers.values(), values)))
 
 
 def save_circuit(array: GateArray, path) -> None:

@@ -1,7 +1,7 @@
 """Gate arrays: directed graphs of optical processing nodes.
 
-An array routes classical two-mode fields from inputs to outputs through
-mode gates, splits, unitary rotations, phase flips, and combiners. Arrays
+The node classes are the device model: mode gates, splits, unitary
+rotations, phase flips and combiners route classical two-mode fields. Arrays
 are built by hand (node and edge lists) or compiled from a placement table
 that records which sequence rides which mode of which output field. The
 named product, Bell and GHZ builders are their placement tables, compiled;
@@ -26,8 +26,6 @@ from .fields import ClassicalField, Unitary2
 from .reconstruct import rotation_columns
 from .sequences import PpsSet
 
-GATE_KINDS = ("A", "B", "C", "D")
-
 # transmission factors (mode 0, mode 1) per gate kind
 _GATE_MASKS = {
     "A": np.array([0.0, 0.0], dtype=np.complex128),
@@ -35,13 +33,12 @@ _GATE_MASKS = {
     "C": np.array([0.0, 1.0], dtype=np.complex128),
     "D": np.array([1.0, 1.0], dtype=np.complex128),
 }
+GATE_KINDS = tuple(_GATE_MASKS)
 
 
 def apply_mode_gate(fld: ClassicalField, kind: str) -> ClassicalField:
     """Block, select, or pass the modes of a field (gate kinds A/B/C/D)."""
-    if kind not in _GATE_MASKS:
-        raise ValueError(f"unknown mode gate kind {kind!r}")
-    return ClassicalField(fld.samples * _GATE_MASKS[kind])
+    return ClassicalField(fld.samples * _GATE_MASKS[ModeGate(kind).kind])
 
 
 @dataclass(frozen=True)
@@ -95,15 +92,8 @@ class ModeGate:
             raise ValueError(f"unknown mode gate kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class Unitary:
-    """Two-mode rotation node parameterized like Unitary2(chi, theta)."""
-
-    chi: float
-    theta: float
-
-    def __post_init__(self):
-        Unitary2(self.chi, self.theta)  # rejects non-finite parameters
+class Unitary(Unitary2):
+    """The two-mode rotation Unitary2(chi, theta) as a gate-array node."""
 
 
 @dataclass(frozen=True)
@@ -162,6 +152,10 @@ class GateArray:
             self._out_edges[src].append(ei)
             self._in_edges[dst].append(ei)
         for nid, node in self.nodes.items():
+            if not isinstance(node, Node):
+                raise ValueError(
+                    f"node {nid!r} ({type(node).__name__}) is not a gate-array node"
+                )
             want_in, want_out = _degrees(node)
             have_in, have_out = len(self._in_edges[nid]), len(self._out_edges[nid])
             if (have_in, have_out) != (want_in, want_out):
@@ -225,10 +219,10 @@ class GateArray:
             elif isinstance(node, ModeGate):
                 value = taken[0] * _GATE_MASKS[node.kind]
             elif isinstance(node, Unitary):
-                value = taken[0] @ Unitary2(node.chi, node.theta).matrix.T
+                value = taken[0] @ node.matrix.T
             elif isinstance(node, PhaseFlip):
                 value = -taken[0]
-            else:
+            else:  # Combine
                 value = np.sum(taken, axis=0)
             edge_values[self._out_edges[nid][0]] = value
         return results

@@ -158,6 +158,8 @@ def test_grover_database_validation():
         ((np.True_, 63), None),
         ((61, 63), {61: 1, 63: Decimal("Infinity")}),
         ((61, 63), {61: 1, 63: np.float32(1.5)}),
+        ((2.0**53, 63), None),
+        ((np.float32(2.0**24), 63), None),
     ],
 )
 def test_grover_database_rejects_non_integers(entries, rotations):
@@ -179,6 +181,24 @@ def test_grover_database_keeps_integral_floats():
     db = GroverDatabase(8, (61.0, 63), {61.0: 2.0, 63: 1})
     assert db.entries == (61, 63) and db.assignment() == {61: 2, 63: 1}
     assert all(type(v) is int for v in (*db.entries, *db.assignment().values()))
+
+
+def test_grover_database_keeps_floats_below_their_exact_range():
+    db = GroverDatabase(53, (2.0**53 - 1, np.float32(2.0**24 - 1)))
+    assert db.entries == (2**53 - 1, 2**24 - 1)
+
+
+def test_grover_database_width_follows_the_integer_rule():
+    with pytest.raises(ValueError, match="expected an integer, got true"):
+        GroverDatabase(True, (1,))
+    db = GroverDatabase(8.0, (61,))
+    assert db.width == 8 and type(db.width) is int
+
+
+def test_grover_rotation_for_non_member_is_key_error():
+    for rotations in (None, {5: 2, 9: 1}):
+        with pytest.raises(KeyError):
+            GroverDatabase(4, (5, 9), rotations).rotation_for(12)
 
 
 def test_grover_default_rotation_round_robin():

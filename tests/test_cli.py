@@ -352,6 +352,16 @@ def test_grover_fractional_entry_is_format_error(tmp_path):
     assert proc.stdout == ""
 
 
+def test_grover_entry_past_exact_float_range_is_format_error(tmp_path):
+    # 1e300 is integral as a float, but int(1e300) is not 10**300
+    db_path = tmp_path / "db.json"
+    db_path.write_text("[1e300, 63]")
+    proc = run_cli("grover", "--db", db_path, "--query", "63")
+    assert proc.returncode == 3, proc.stderr
+    assert "expected an integer, got 1e+300" in proc.stderr
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("entry", ["Infinity", "NaN"])
 def test_grover_non_finite_entry_is_format_error(tmp_path, entry):
     db_path = tmp_path / "db.json"

@@ -1,4 +1,4 @@
-"""Two-mode fields: construction, modulation, rotations, splitting."""
+"""Two-mode fields: construction, modulation, rotations, combining."""
 import numpy as np
 import pytest
 
@@ -8,13 +8,12 @@ from ppsim import (
     ClassicalField,
     DimensionMismatchError,
     Unitary2,
+    apply_mode_gate,
     apply_unitary,
-    beam_split,
     canonical_inputs,
     combine,
     field_inner_product,
     make_single_pps_field,
-    mode_split,
     modulate,
     sequence_product,
     zero_field,
@@ -106,28 +105,9 @@ def test_modulate_mismatch(set3, set4):
         modulate(fld, set4.sequence(1))
 
 
-def test_beam_split_power_and_ratio(set3):
-    fld = make_single_pps_field(set3, 1, mode_weights=(1.0, 0.5))
-    out_a, out_b = beam_split(fld, power_ratio=(0.25, 0.75))
-    assert _power(out_a) + _power(out_b) == pytest.approx(_power(fld), abs=1e-9)
-    assert _power(out_a) / _power(out_b) == pytest.approx(1 / 3, abs=1e-9)
-    with pytest.raises(ValueError):
-        beam_split(fld, power_ratio=(0.0, 0.0))
-    with pytest.raises(ValueError):
-        beam_split(fld, power_ratio=(-1.0, 2.0))
-
-
-def test_beam_split_extra_phase(set3):
-    fld = make_single_pps_field(set3, 1)
-    out_a, _ = beam_split(fld, extra_phases=(np.pi, 0.0))
-    expect = fld.samples.copy() / np.sqrt(2)
-    expect[:, MODE1] *= -1
-    assert np.allclose(out_a.samples, expect, atol=1e-12)
-
-
 def test_mode_split_and_combine(set3):
     fld = make_single_pps_field(set3, 4, mode_weights=(0.8, -0.6j))
-    only0, only1 = mode_split(fld)
+    only0, only1 = apply_mode_gate(fld, "B"), apply_mode_gate(fld, "C")
     assert not only0.samples[:, MODE1].any()
     assert not only1.samples[:, MODE0].any()
     back = combine([only0, only1])
