@@ -2,22 +2,22 @@
 
 The factoring pipeline encodes x and f(x) = a^x mod N bit-by-bit onto
 placement-table cells, one cyclic rotation per residue class of f, then
-runs encode -> compile -> run -> demodulate -> reconstruct and reads the
-period off the reconstructed state. The membership pipeline stores each
+runs encode -> compile -> run -> demodulate and reads the period off the
+usable diagonals of the status grid. The membership pipeline stores each
 database entry on one rotation and tests a query by gating every field to
 the query's bit pattern and looking for a rotation whose statuses survive.
 """
 
 from __future__ import annotations
 
-import json
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .demod import DEFAULT_THRESHOLD, ModeStatusMatrix, mode_status_matrix
-from .errors import DimensionMismatchError, PeriodUnusableError
+from .demod import DEFAULT_THRESHOLD, ModeStatusMatrix, SignGrid, mode_status_matrix
+from .errors import DimensionMismatchError, PeriodUnusableError, _as_int
 from .fields import ClassicalField, canonical_inputs
 from .gates import (
     BELL_VARIANTS,
@@ -30,32 +30,16 @@ from .gates import (
     product_array,
     w_array,
 )
-from .reconstruct import SimulatedState, reconstruct, rotation_columns, usable_rotations
+from .reconstruct import (
+    SimulatedState,
+    _diagonals,
+    _ket_labels,
+    reconstruct,
+    rotation_columns,
+    usable_rotations,
+)
 from .sequences import PpsSet
 from .symbolic import SymbolicField, to_waveform
-
-
-def _as_int(value) -> int:
-    """An integer given by a caller or a file: an integral number or a numeric string.
-
-    A bool, inf, NaN or a number that int() would change is an error,
-    whatever its type. So is a float at or past the magnitude where its type
-    stops holding every integer (2**53 for a float), as it may not be the
-    number that was written.
-    """
-    if isinstance(value, str):
-        return int(value)
-    try:
-        whole = int(value)
-    except (OverflowError, ValueError):  # inf, NaN
-        whole = None
-    if isinstance(value, (float, np.floating)):
-        if abs(value) >= 2.0 ** (np.finfo(type(value)).nmant + 1):
-            whole = None
-    if isinstance(value, (bool, np.bool_)) or whole is None or whole != value:
-        shown = json.dumps(value) if isinstance(value, (int, float)) else repr(value)
-        raise ValueError(f"expected an integer, got {shown}")
-    return whole
 
 
 def _msb_bits(values, width: int) -> np.ndarray:
@@ -135,12 +119,33 @@ class ShorResult:
     factors: tuple[int, int]
     period: int
     matrix: ModeStatusMatrix
-    state: SimulatedState
+
+    @functools.cached_property
+    def state(self) -> SimulatedState:
+        """The reconstructed state, built on first access."""
+        return reconstruct(self.matrix)
 
 
 def period_from_state(state: SimulatedState, f_bits: int) -> int:
     """Number of distinct function-register kets in a reconstructed state."""
     return len({bits[-f_bits:] for bits in state.terms})
+
+
+def _period_from_grid(matrix: SignGrid, f_bits: int) -> int:
+    """period_from_state(reconstruct(matrix), f_bits), expanding only the
+    function register where no term can cancel.
+
+    With no -1 on a usable diagonal every term adds with a positive sign, so
+    the function kets are the suffixes the diagonals' last f_bits fields
+    generate. Otherwise the state is reconstructed.
+    """
+    diagonals = _diagonals(matrix, usable_rotations(matrix))
+    if (diagonals < 0).any():
+        return period_from_state(reconstruct(matrix), f_bits)
+    suffixes: set[str] = set()
+    for diagonal in diagonals[:, -f_bits:].tolist():
+        suffixes.update(_ket_labels(diagonal))
+    return len(suffixes)
 
 
 def shor_factor(
@@ -149,16 +154,16 @@ def shor_factor(
     """Run the whole factoring pipeline and extract the factors.
 
     The period r is the count of distinct function kets in the
-    reconstructed state; no Fourier step is involved. An odd period, or
-    base**(r/2) = -1 (mod modulus), or a trivial gcd, aborts with the
-    retry error.
+    reconstructed state, read off the usable diagonals of the status grid;
+    no Fourier step is involved. An odd period, or base**(r/2) = -1
+    (mod modulus), or a trivial gcd, aborts with the retry error. The
+    state itself is reconstructed on first access to `result.state`.
     """
     table = shor_encode(inst, pset)
     array = compile_placement(table, pset)
     outputs = array.run(canonical_inputs(pset, inst.register_width))
     matrix = mode_status_matrix(outputs, pset=pset, tau=tau)
-    state = reconstruct(matrix)
-    period = period_from_state(state, inst.f_bits)
+    period = _period_from_grid(matrix, inst.f_bits)
     if period % 2:
         raise PeriodUnusableError("period unusable, retry with different a")
     half = pow(inst.base, period // 2, inst.modulus)
@@ -167,7 +172,7 @@ def shor_factor(
     factors = tuple(sorted((low, high)))
     if factors[0] <= 1 or factors[1] >= inst.modulus:
         raise PeriodUnusableError("period unusable, retry with different a")
-    return ShorResult(factors, period, matrix, state)
+    return ShorResult(factors, period, matrix)
 
 
 @dataclass

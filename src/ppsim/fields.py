@@ -100,7 +100,9 @@ def canonical_inputs(pset: PpsSet, n: int) -> list[ClassicalField]:
         raise DimensionMismatchError(
             f"{n} fields requested but set has {pset.usable_count} usable sequences"
         )
-    return [make_single_pps_field(pset, k) for k in range(1, n + 1)]
+    rows = pset.bit_rows[1 : n + 1, :, None]
+    bits = np.broadcast_to(rows, rows.shape[:2] + (2,))  # one bit row, both modes
+    return [ClassicalField(samples) for samples in bit_carriers(bits, pset.mapping_phase)]
 
 
 def modulate(fld: ClassicalField, seq: PhaseSequence) -> ClassicalField:

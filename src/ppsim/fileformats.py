@@ -17,9 +17,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .algorithms import GroverDatabase, _as_int
+from .algorithms import GroverDatabase
 from .demod import ModeStatusMatrix, SignGrid
-from .errors import FormatError, SimulationError
+from .errors import FormatError, SimulationError, _as_int
 from .fields import ClassicalField
 from .gates import (
     Combine,

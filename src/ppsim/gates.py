@@ -16,12 +16,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from graphlib import CycleError, TopologicalSorter
 
 import numpy as np
 
 from .demod import SignGrid
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, _as_int
 from .fields import ClassicalField, Unitary2
 from .reconstruct import rotation_columns
 from .sequences import PpsSet
@@ -47,12 +46,18 @@ class Input:
 
     index: int
 
+    def __post_init__(self):
+        object.__setattr__(self, "index", _as_int(self.index))
+
 
 @dataclass(frozen=True)
 class Output:
     """Array exit point delivering result field `index` (0-based)."""
 
     index: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", _as_int(self.index))
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,7 @@ class Split:
     gains: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "fanout", _as_int(self.fanout))
         if self.fanout < 2:
             raise ValueError("split fanout must be at least 2")
         if self.gains is not None and len(self.gains) != self.fanout:
@@ -108,6 +114,7 @@ class Combine:
     fanin: int
 
     def __post_init__(self):
+        object.__setattr__(self, "fanin", _as_int(self.fanin))
         if self.fanin < 2:
             raise ValueError("combine fanin must be at least 2")
 
@@ -143,14 +150,15 @@ class GateArray:
     edges: list[tuple[str, str]]
 
     def __post_init__(self):
-        for src, dst in self.edges:
-            if src not in self.nodes or dst not in self.nodes:
-                raise ValueError(f"edge references unknown node: {(src, dst)!r}")
         self._in_edges: dict[str, list[int]] = {nid: [] for nid in self.nodes}
         self._out_edges: dict[str, list[int]] = {nid: [] for nid in self.nodes}
         for ei, (src, dst) in enumerate(self.edges):
+            if src not in self.nodes or dst not in self.nodes:
+                raise ValueError(f"edge references unknown node: {(src, dst)!r}")
             self._out_edges[src].append(ei)
             self._in_edges[dst].append(ei)
+        in_idx: list[int] = []
+        out_idx: list[int] = []
         for nid, node in self.nodes.items():
             if not isinstance(node, Node):
                 raise ValueError(
@@ -163,29 +171,37 @@ class GateArray:
                     f"node {nid!r} ({type(node).__name__}) has {have_in} in /"
                     f" {have_out} out edges, expected {want_in}/{want_out}"
                 )
-        in_idx = sorted(n.index for n in self.nodes.values() if isinstance(n, Input))
-        out_idx = sorted(n.index for n in self.nodes.values() if isinstance(n, Output))
+            if isinstance(node, Input):
+                in_idx.append(node.index)
+            elif isinstance(node, Output):
+                out_idx.append(node.index)
         if not in_idx or not out_idx:
             raise ValueError("array needs at least one input and one output")
-        if in_idx != list(range(len(in_idx))):
+        if sorted(in_idx) != list(range(len(in_idx))):
             raise ValueError("input indexes must cover 0..n-1 exactly once")
-        if out_idx != list(range(len(out_idx))):
+        if sorted(out_idx) != list(range(len(out_idx))):
             raise ValueError("output indexes must cover 0..n-1 exactly once")
-        graph: dict[str, set[str]] = {nid: set() for nid in self.nodes}
-        for src, dst in self.edges:
-            graph[dst].add(src)
-        try:
-            self._order = tuple(TopologicalSorter(graph).static_order())
-        except CycleError as exc:
-            raise ValueError("array graph contains a cycle") from exc
+        self._counts = (len(in_idx), len(out_idx))
+        # Kahn's order: a node is ready once every one of its in-edges is fed
+        waiting = {nid: len(ins) for nid, ins in self._in_edges.items()}
+        order = [nid for nid, count in waiting.items() if not count]
+        for nid in order:  # the list grows as nodes become ready
+            for ei in self._out_edges[nid]:
+                dst = self.edges[ei][1]
+                waiting[dst] -= 1
+                if not waiting[dst]:
+                    order.append(dst)
+        if len(order) != len(self.nodes):
+            raise ValueError("array graph contains a cycle")
+        self._order = tuple(order)
 
     @property
     def input_count(self) -> int:
-        return sum(1 for n in self.nodes.values() if isinstance(n, Input))
+        return self._counts[0]
 
     @property
     def output_count(self) -> int:
-        return sum(1 for n in self.nodes.values() if isinstance(n, Output))
+        return self._counts[1]
 
     def node_counts(self) -> dict[str, int]:
         """Node tally by kind name (resource accounting)."""
@@ -210,7 +226,10 @@ class GateArray:
             if isinstance(node, Input):
                 value = inputs[node.index].samples
             elif isinstance(node, Output):
-                results[node.index] = ClassicalField(taken[0].copy())
+                # an Input's array is the caller's; every other one is fresh
+                (ei,) = self._in_edges[nid]
+                held = isinstance(self.nodes[self.edges[ei][0]], Input)
+                results[node.index] = ClassicalField(taken[0].copy() if held else taken[0])
                 continue
             elif isinstance(node, Split):
                 for gain, ei in zip(node.branch_gains(), self._out_edges[nid]):
@@ -222,8 +241,10 @@ class GateArray:
                 value = taken[0] @ node.matrix.T
             elif isinstance(node, PhaseFlip):
                 value = -taken[0]
-            else:  # Combine
-                value = np.sum(taken, axis=0)
+            else:  # Combine: summed in in-edge order from +0, as np.sum does
+                value = taken[0] + 0.0
+                for more in taken[1:]:
+                    value += more
             edge_values[self._out_edges[nid][0]] = value
         return results
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,14 +41,23 @@ class SimulatedState:
     terms: dict[str, int]
 
     def __post_init__(self):
-        cleaned: dict[str, int] = {}
-        for bits, coeff in self.terms.items():
-            if len(bits) != self.width or bits.strip("01"):
-                raise ValueError(f"bad ket label {bits!r} for width {self.width}")
-            if int(coeff) != coeff:
-                raise ValueError("coefficients must be integers")
-            if coeff:
-                cleaned[bits] = int(coeff)
+        labels, coeffs = self.terms.keys(), self.terms.values()
+        if (
+            set(map(type, labels)) <= {str}
+            and set(map(len, labels)) <= {self.width}
+            and set("".join(labels)) <= {"0", "1"}
+            and set(map(type, coeffs)) <= {int}
+        ):
+            cleaned = {bits: coeff for bits, coeff in self.terms.items() if coeff}
+        else:  # check term by term, to name the first bad one
+            cleaned = {}
+            for bits, coeff in self.terms.items():
+                if len(bits) != self.width or bits.strip("01"):
+                    raise ValueError(f"bad ket label {bits!r} for width {self.width}")
+                if int(coeff) != coeff:
+                    raise ValueError("coefficients must be integers")
+                if coeff:
+                    cleaned[bits] = int(coeff)
         common = math.gcd(*(abs(c) for c in cleaned.values())) if cleaned else 1
         self.terms = {bits: c // common for bits, c in sorted(cleaned.items())}
 
@@ -85,6 +95,13 @@ def _diagonals(grid: SignGrid, rotations) -> np.ndarray:
     return grid.cells[np.arange(n), rotation_columns(n, rotations).T]
 
 
+def _ket_labels(diagonal: list) -> Iterator[str]:
+    """Kets, ascending, that a diagonal's factor list (a|0> + b|1>) per field
+    expands to; a cell with both signs set gives both digits."""
+    digits = [("0" if a else "") + ("1" if b else "") for a, b in diagonal]
+    return map("".join, itertools.product(*digits))
+
+
 def usable_rotations(grid: SignGrid) -> np.ndarray:
     """Rotations r (1-based, ascending) whose cyclic diagonal has no empty cell."""
     n, m = grid.cells.shape[:2]
@@ -104,9 +121,8 @@ def reconstruct(matrix: SignGrid) -> SimulatedState:
     """
     total: Counter[str] = Counter()
     for diagonal in _diagonals(matrix, usable_rotations(matrix)).tolist():
-        digits = [("0" if a else "") + ("1" if b else "") for a, b in diagonal]
         signs = [[s for s in pair if s] for pair in diagonal]
-        labels = map("".join, itertools.product(*digits))
+        labels = _ket_labels(diagonal)
         total.update(dict(zip(labels, map(math.prod, itertools.product(*signs)))))
     return SimulatedState(matrix.cells.shape[0], total)
 

@@ -4,10 +4,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppsim import (
     DimensionMismatchError,
     GroverDatabase,
+    ModeStatusMatrix,
     PeriodUnusableError,
     ShorInstance,
     TYPICAL_KINDS,
@@ -25,6 +28,7 @@ from ppsim import (
     shor_factor,
     typical_state,
 )
+from ppsim.algorithms import _period_from_grid
 from ppsim.fixtures import factoring_reference, search_reference, typical_reference
 from ppsim.gates import apply_mode_gate
 from ppsim.symbolic import to_waveform
@@ -92,6 +96,45 @@ def test_shor_factor_full_run(set4):
     assert sorted(result.state.terms) == list(ref.state_kets)
     assert set(result.state.terms.values()) == {1}
     assert period_from_state(result.state, 4) == 4
+
+
+def test_shor_result_state_is_built_on_first_access(set4):
+    result = shor_factor(ShorInstance(15, 7), set4)
+    assert "state" not in vars(result)
+    assert result.state == reconstruct(result.matrix)
+    assert "state" in vars(result)
+
+
+@st.composite
+def _grids_and_widths(draw):
+    """Square sign grids, with or without -1 signs, and a function-register width."""
+    n = draw(st.integers(1, 7))
+    signs = (-1, 0, 1, 1) if draw(st.booleans()) else (0, 1, 1)
+    cells = draw(st.lists(st.sampled_from(signs), min_size=2 * n * n, max_size=2 * n * n))
+    grid = ModeStatusMatrix(np.array(cells, dtype=np.int8).reshape(n, n, 2))
+    return grid, draw(st.integers(1, n))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(case=_grids_and_widths())
+def test_period_from_grid_matches_reconstructed_state(case):
+    grid, f_bits = case
+    assert _period_from_grid(grid, f_bits) == period_from_state(reconstruct(grid), f_bits)
+
+
+def test_period_from_grid_on_every_small_instance(set4):
+    checked = 0
+    for modulus in range(4, 64):
+        for base in range(2, modulus):
+            try:
+                inst = ShorInstance(modulus, base)
+                table = shor_encode(inst, set4)
+            except (ValueError, DimensionMismatchError):
+                continue
+            period = period_from_state(reconstruct(table), inst.f_bits)
+            assert _period_from_grid(table, inst.f_bits) == period
+            checked += 1
+    assert checked > 500
 
 
 def test_shor_factor_base_four(set4):

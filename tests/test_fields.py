@@ -10,6 +10,7 @@ from ppsim import (
     Unitary2,
     apply_mode_gate,
     apply_unitary,
+    build_pps_set,
     canonical_inputs,
     combine,
     field_inner_product,
@@ -89,6 +90,16 @@ def test_canonical_inputs(set3):
         assert np.allclose(fld.samples[:, MODE1], set3.carriers[k])
     with pytest.raises(DimensionMismatchError):
         canonical_inputs(set3, 8)
+
+
+@pytest.mark.parametrize("mapping", ["pi", "pi/2", 0.75])
+def test_canonical_inputs_equal_single_fields_bytewise(mapping):
+    for degree in range(2, 9):
+        pset = build_pps_set(degree, mapping_phase=mapping)
+        fields = canonical_inputs(pset, pset.usable_count)
+        for k, fld in enumerate(fields, start=1):
+            want = make_single_pps_field(pset, k).samples
+            assert fld.samples.view(np.float64).tobytes() == want.view(np.float64).tobytes()
 
 
 def test_modulate_is_group_action(set3):

@@ -119,6 +119,19 @@ def test_node_parameter_validation():
         Combine(1)
 
 
+def test_node_integer_parameters(set3):
+    split = Split(2.0)
+    assert split.fanout == 2 and type(split.fanout) is int
+    nodes = {"in0": Input(0.0), "s": split, "c": Combine(2.0), "out0": Output(0)}
+    array = GateArray(nodes, [("in0", "s"), ("s", "c"), ("s", "c"), ("c", "out0")])
+    (fld,) = canonical_inputs(set3, 1)
+    (out,) = array.run([fld])
+    assert np.array_equal(out.samples, 2 * fld.samples)
+    for node, value in ((Output, False), (Input, True), (Split, 2.5), (Combine, float("nan"))):
+        with pytest.raises(ValueError, match="expected an integer"):
+            node(value)
+
+
 def test_run_input_checks(set3):
     arr = _identity_array()
     with pytest.raises(DimensionMismatchError):

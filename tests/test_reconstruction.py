@@ -82,6 +82,18 @@ def test_simulated_state_api():
         SimulatedState(2, {"00": 0.5})
 
 
+def test_simulated_state_checks_every_label():
+    # zero-coefficient labels are checked too, and the first bad one is named
+    for terms, label in (({"00": 1, "0a": 0}, "'0a'"), ({"000": 0, "11": 1}, "'000'")):
+        with pytest.raises(ValueError, match=f"bad ket label {label} for width 2"):
+            SimulatedState(2, terms)
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        SimulatedState(2, {"00": 1, "11": 1.5})
+    state = SimulatedState(2, {"00": 2.0, "11": True, "01": np.int64(4)})
+    assert state.terms == {"00": 2, "01": 4, "11": 1}
+    assert {type(c) for c in state.terms.values()} == {int}
+
+
 def test_sampling_deterministic_and_supported():
     matrix = typical_reference("psi+").matrix
     draws = [sample_measurement(matrix, np.random.default_rng(1)) for _ in range(5)]

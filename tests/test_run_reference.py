@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ppsim import (
@@ -128,6 +128,26 @@ def test_run_matches_plain_interpreter(set3, array):
             assert np.allclose(g, w, rtol=0, atol=1e-12)
         else:
             assert np.array_equal(g, w)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(array=_every_kind_arrays())
+def test_run_keeps_the_interpreters_signed_zeros(set3, array):
+    # both sum a combine's terms from +0, so -0 + -0 gives +0 in each
+    assume(not any(isinstance(node, Unitary) for node in array.nodes.values()))
+    inputs = canonical_inputs(set3, array.input_count)
+    got = [fld.samples.tobytes() for fld in array.run(inputs)]
+    assert got == [value.tobytes() for value in _interpret(array, inputs)]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(array=_every_kind_arrays())
+def test_outputs_share_no_memory(set3, array):
+    inputs = canonical_inputs(set3, array.input_count)
+    outputs = [fld.samples for fld in array.run(inputs)]
+    held = [fld.samples for fld in inputs]
+    for k, out in enumerate(outputs):
+        assert not any(np.shares_memory(out, other) for other in outputs[k + 1 :] + held)
 
 
 @pytest.mark.parametrize("node", [Unitary2(0.3, 1.0), "gate"])
