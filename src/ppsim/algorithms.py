@@ -33,7 +33,7 @@ from .gates import (
 from .reconstruct import (
     SimulatedState,
     _diagonals,
-    _ket_labels,
+    _expand,
     reconstruct,
     rotation_columns,
     usable_rotations,
@@ -142,10 +142,7 @@ def _period_from_grid(matrix: SignGrid, f_bits: int) -> int:
     diagonals = _diagonals(matrix, usable_rotations(matrix))
     if (diagonals < 0).any():
         return period_from_state(reconstruct(matrix), f_bits)
-    suffixes: set[str] = set()
-    for diagonal in diagonals[:, -f_bits:].tolist():
-        suffixes.update(_ket_labels(diagonal))
-    return len(suffixes)
+    return len(set(_expand(diagonals[:, -f_bits:])[0]))
 
 
 def shor_factor(

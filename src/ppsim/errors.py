@@ -41,6 +41,10 @@ class UnrepresentableStateError(SimulationError):
     """Every permutation term of a status matrix is empty."""
 
 
+class StateTooLargeError(SimulationError):
+    """A reconstruction would expand to more kets than it may allocate."""
+
+
 class FormatError(SimulationError):
     """A serialized artifact could not be parsed."""
 

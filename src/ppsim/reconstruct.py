@@ -7,20 +7,26 @@ statuses are all nonzero is usable and contributes one product term; the
 sum over rotations, with integer coefficients reduced by their common
 factor, is the simulated state. One vectorised scan of the sign grid
 finds the usable rotations for reconstruction, sampling and search.
+
+The usable diagonals expand to kets in whole-array steps (`_expand`): the
+rotations with no both-mode cell form one block of digit rows, each
+rotation with k both-mode cells adds a block of 2**k rows, and every label
+comes from one decode of the digit buffer. A state of more than `MAX_KETS`
+kets raises StateTooLargeError before anything is allocated.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections import Counter
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .demod import SignGrid
-from .errors import DimensionMismatchError, UnrepresentableStateError
+from .errors import DimensionMismatchError, StateTooLargeError, UnrepresentableStateError
+
+MAX_KETS = 1 << 22  # kets one reconstruction may expand to
 
 
 def rotation_columns(n: int, rotations) -> np.ndarray:
@@ -41,25 +47,32 @@ class SimulatedState:
     terms: dict[str, int]
 
     def __post_init__(self):
-        labels, coeffs = self.terms.keys(), self.terms.values()
+        terms = self.terms
+        labels, coeffs = terms.keys(), terms.values()
         if (
             set(map(type, labels)) <= {str}
             and set(map(len, labels)) <= {self.width}
-            and set("".join(labels)) <= {"0", "1"}
+            and (text := "".join(labels)).isascii()  # so encode() cannot fail
+            and not text.encode().translate(None, b"01")  # digits 0 and 1 only
             and set(map(type, coeffs)) <= {int}
         ):
-            cleaned = {bits: coeff for bits, coeff in self.terms.items() if coeff}
+            if 0 in coeffs:
+                terms = {bits: coeff for bits, coeff in terms.items() if coeff}
         else:  # check term by term, to name the first bad one
             cleaned = {}
-            for bits, coeff in self.terms.items():
+            for bits, coeff in terms.items():
                 if len(bits) != self.width or bits.strip("01"):
                     raise ValueError(f"bad ket label {bits!r} for width {self.width}")
                 if int(coeff) != coeff:
                     raise ValueError("coefficients must be integers")
                 if coeff:
                     cleaned[bits] = int(coeff)
-        common = math.gcd(*(abs(c) for c in cleaned.values())) if cleaned else 1
-        self.terms = {bits: c // common for bits, c in sorted(cleaned.items())}
+            terms = cleaned
+        common = math.gcd(*terms.values())
+        if common == 1 and list(terms) == sorted(terms):
+            self.terms = dict(terms)
+        else:
+            self.terms = {bits: c // common for bits, c in sorted(terms.items())}
 
     @property
     def is_zero(self) -> bool:
@@ -95,11 +108,47 @@ def _diagonals(grid: SignGrid, rotations) -> np.ndarray:
     return grid.cells[np.arange(n), rotation_columns(n, rotations).T]
 
 
-def _ket_labels(diagonal: list) -> Iterator[str]:
-    """Kets, ascending, that a diagonal's factor list (a|0> + b|1>) per field
-    expands to; a cell with both signs set gives both digits."""
-    digits = [("0" if a else "") + ("1" if b else "") for a, b in diagonal]
-    return map("".join, itertools.product(*digits))
+def _expand(diagonals: np.ndarray) -> tuple[list[str], list[int]]:
+    """Ket labels and coefficients that (R, n, 2) diagonals expand to.
+
+    Field i of a diagonal is the factor (a|0> + b|1>); a both-mode cell
+    gives both digits, so a diagonal with k of them expands to 2**k kets,
+    ascending, each with the product of the signs it picked. Diagonals
+    without one come first, in order, then each other diagonal's block.
+    Raises StateTooLargeError past MAX_KETS kets, before allocating them.
+    """
+    a, b = diagonals[..., 0], diagonals[..., 1]
+    both = (a != 0) & (b != 0)
+    widths = both.sum(axis=1).tolist()
+    kets = sum(1 << k for k in widths)
+    if kets > MAX_KETS:
+        raise StateTooLargeError(
+            f"state would expand to {kets} kets, more than the {MAX_KETS} allowed"
+        )
+    n = diagonals.shape[1]
+    digits = np.empty((kets, n + 1), dtype=np.uint8)  # each row a label and "\n"
+    digits[:, n] = ord("\n")
+    fixed = (a == 0).astype(np.uint8) + ord("0")  # the digit of a single-mode cell
+    signs = np.where(both, 1, a + b).prod(axis=1)  # product of single-mode signs
+    mixed = both.any(axis=1)
+    plain = np.flatnonzero(~mixed)
+    digits[: len(plain), :n] = fixed[plain]
+    coeffs = [signs[plain]]
+    row = len(plain)
+    for r in np.flatnonzero(mixed).tolist():
+        cols = np.flatnonzero(both[r])
+        block = digits[row : row + (1 << widths[r]), :n]
+        block[:] = fixed[r]
+        # bits of 0 .. 2**k - 1, first both-mode cell most significant
+        index = np.arange(len(block), dtype="<u4").view(np.uint8).reshape(-1, 4)
+        bits = np.unpackbits(index, axis=1, count=widths[r], bitorder="little")
+        block[:, cols] = bits[:, ::-1] + ord("0")
+        coeff = signs[r : r + 1]
+        for pair in diagonals[r, cols]:
+            coeff = np.multiply.outer(coeff, pair).ravel()
+        coeffs.append(coeff)
+        row += len(block)
+    return str(digits.data, "ascii").splitlines(), np.concatenate(coeffs).tolist()
 
 
 def usable_rotations(grid: SignGrid) -> np.ndarray:
@@ -117,14 +166,18 @@ def reconstruct(matrix: SignGrid) -> SimulatedState:
     """Sum the product terms of the usable rotations of a square sign grid.
 
     Field i of a rotation contributes the factor (a|0> + b|1>) read from its
-    rotated status; the factor list expands in one product, kets ascending.
+    rotated status; all usable rotations expand together, by `_expand`.
+    Raises StateTooLargeError when they expand to more than MAX_KETS kets.
     """
-    total: Counter[str] = Counter()
-    for diagonal in _diagonals(matrix, usable_rotations(matrix)).tolist():
-        signs = [[s for s in pair if s] for pair in diagonal]
-        labels = _ket_labels(diagonal)
-        total.update(dict(zip(labels, map(math.prod, itertools.product(*signs)))))
-    return SimulatedState(matrix.cells.shape[0], total)
+    diagonals = _diagonals(matrix, usable_rotations(matrix))
+    labels, coeffs = _expand(diagonals)
+    if len(diagonals) > 1:
+        terms = Counter()
+        for bits, coeff in zip(labels, coeffs):
+            terms[bits] += coeff
+    else:
+        terms = dict(zip(labels, coeffs))
+    return SimulatedState(matrix.cells.shape[0], terms)
 
 
 def sample_measurement(

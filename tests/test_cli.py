@@ -13,9 +13,12 @@ from ppsim import (
     load_fields,
     load_matrix,
     load_pps_set,
+    mode_status_matrix,
+    product_array,
     save_circuit,
     save_fields,
     save_grover_db,
+    save_matrix,
     save_pps_set,
 )
 from ppsim.fixtures import search_reference, typical_reference
@@ -240,6 +243,18 @@ def test_bench_runs():
     assert "ms" in proc.stdout
     assert "factor(15,7)" in proc.stdout
     assert "search(w=8,k=13)" in proc.stdout
+
+
+def test_reconstruct_past_the_ket_cap_exits_5(tmp_path):
+    # the 31-field product state would expand to 2**31 kets
+    pset = build_pps_set(5)
+    outputs = product_array(31).run(canonical_inputs(pset, 31))
+    matrix = tmp_path / "product31.json"
+    save_matrix(mode_status_matrix(outputs, pset=pset), matrix)
+    proc = run_cli("reconstruct", "--matrix", matrix)
+    assert proc.returncode == 5
+    assert "2147483648 kets" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_reconstruct_negative_sample_is_usage_error(tmp_path):

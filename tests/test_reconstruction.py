@@ -1,4 +1,7 @@
 """State reconstruction from mode-status matrices and measurement sampling."""
+import re
+import time
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -8,9 +11,12 @@ from ppsim import (
     DimensionMismatchError,
     ModeStatusMatrix,
     SimulatedState,
+    StateTooLargeError,
     UnrepresentableStateError,
+    build_pps_set,
     reconstruct,
     sample_measurement,
+    typical_state,
 )
 from ppsim.fixtures import factoring_reference, typical_reference
 
@@ -92,6 +98,45 @@ def test_simulated_state_checks_every_label():
     state = SimulatedState(2, {"00": 2.0, "11": True, "01": np.int64(4)})
     assert state.terms == {"00": 2, "01": 4, "11": 1}
     assert {type(c) for c in state.terms.values()} == {int}
+
+
+def test_simulated_state_rejects_non_ascii_digits():
+    # a surrogate, an Arabic-Indic one and a fullwidth one are not ket digits
+    for label in ("0\udc80", "0\u0661", "0\uff11"):
+        with pytest.raises(ValueError, match=re.escape(f"bad ket label {label!r} for width 2")):
+            SimulatedState(2, {label: 1})
+
+
+def test_simulated_state_owns_sorted_reduced_terms():
+    terms = {"00": 1, "11": -1}  # already ascending and reduced
+    state = SimulatedState(2, terms)
+    assert state.terms == terms and state.terms is not terms
+    unsorted = {"11": 1, "01": -1, "00": 1}
+    assert list(SimulatedState(2, unsorted).terms.items()) == [
+        ("00", 1),
+        ("01", -1),
+        ("11", 1),
+    ]
+    assert list(unsorted) == ["11", "01", "00"]  # the caller's dict is left alone
+    # a negative common factor divides out by its magnitude, signs kept
+    negative = SimulatedState(2, {"10": -4, "01": -6})
+    assert list(negative.terms.items()) == [("01", -3), ("10", -2)]
+
+
+def test_product_past_the_ket_cap_raises_before_allocating():
+    # 2**31 kets: the count is checked before any of them is allocated
+    pset = build_pps_set(5)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(StateTooLargeError, match="2147483648 kets"):
+            typical_state("product", pset, 31)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 64 << 20
 
 
 def test_sampling_deterministic_and_supported():

@@ -1,5 +1,6 @@
 """The shared sign grid and the one rotation scan, against plain per-cell scans."""
 import itertools
+import math
 from collections import Counter
 
 import numpy as np
@@ -87,6 +88,37 @@ def _sign_grids(draw):
     return ModeStatusMatrix(draw(arrays(np.int8, (n, n, 2), elements=st.integers(-1, 1))))
 
 
+def _reference_state(cells):
+    """Ordered terms of the summed usable rotations by itertools.product:
+    zeros dropped, reduced by the common factor, labels ascending."""
+    n = len(cells)
+    total = Counter()
+    for r in _plain_usable(cells):
+        pairs = [cells[i][(i + r - 1) % n] for i in range(n)]
+        choices = [[(d, s) for d, s in zip("01", pair) if s] for pair in pairs]
+        for picks in itertools.product(*choices):
+            total["".join(d for d, _ in picks)] += math.prod(s for _, s in picks)
+    common = math.gcd(*total.values()) or 1
+    return [(bits, c // common) for bits, c in sorted(total.items()) if c]
+
+
+@st.composite
+def _expanding_grids(draw):
+    """(n, n, 2) sign grids, n = 1..12, with one rotation made usable and
+    given both-mode cells (at least one) and signs of either kind."""
+    n = draw(st.integers(1, 12))
+    cells = draw(arrays(np.int8, (n, n, 2), elements=st.integers(-1, 1)))
+    r = draw(st.integers(1, n))
+    signs = draw(arrays(np.int8, (n, 2), elements=st.sampled_from([-1, 1])))
+    modes = draw(arrays(np.int8, n, elements=st.integers(0, 2)))  # a, b or both
+    modes[draw(st.integers(0, n - 1))] = 2
+    signs[modes == 1, 0] = 0
+    signs[modes == 0, 1] = 0
+    rows = np.arange(n)
+    cells[rows, (rows + r - 1) % n] = signs
+    return ModeStatusMatrix(cells)
+
+
 def test_random_grids_cover_both_outcomes():
     usable_counts = Counter(bool(usable_rotations(g).size) for g in _random_grids())
     assert usable_counts[True] > 10 and usable_counts[False] > 10
@@ -106,6 +138,12 @@ def test_reconstruct_matches_sum_over_all_rotations(grid):
     for r in range(1, n + 1):
         total.update(_reference_term(cells, r))
     assert reconstruct(grid) == SimulatedState(n, {b: c for b, c in total.items() if c})
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_expanding_grids())
+def test_reconstruct_terms_and_order_match_itertools(grid):
+    assert list(reconstruct(grid).terms.items()) == _reference_state(grid.cells.tolist())
 
 
 def test_sample_support_matches_plain_scan():
