@@ -56,7 +56,7 @@ def main():
     refs = [pset.sequence(j) for j in (1, 2, 3, 4)]
     matrix = mode_status_matrix([f1, restamped], refs=refs)
     print("\nstatus matrix, rows = fields, columns = lambda^(1..4):")
-    for row in matrix.cell_strings():
+    for row in matrix.to_strings():
         print("  " + " ".join(f"{cell:>7}" for cell in row))
 
     # a raw amplitude below the threshold tau quantizes to unoccupied

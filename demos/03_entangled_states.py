@@ -17,7 +17,7 @@ def show(kind, pset, n=None):
     result = typical_state(kind, pset, n)
     size = result.matrix.field_count
     print(f"{kind} ({size} fields)")
-    for row in result.matrix.cell_strings():
+    for row in result.matrix.to_strings():
         print("   " + " ".join(f"{cell:>7}" for cell in row))
     print(f"   state: {result.state.pretty()}\n")
     return result

@@ -21,7 +21,7 @@ def show_query(db, query, pset):
     result = grover_search(db, query, pset)
     verdict = f"found, witness rotation R_{result.witness}" if result.found else "not found"
     print(f"query {query} ({query:08b}): {verdict}")
-    for row in result.matrix.cell_strings():
+    for row in result.matrix.to_strings():
         print("   " + " ".join(f"{cell:>7}" for cell in row))
     print()
     return result

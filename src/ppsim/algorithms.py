@@ -64,6 +64,8 @@ class ShorInstance:
     f_bits: int | None = None
 
     def __post_init__(self):
+        self.modulus = _as_int(self.modulus)
+        self.base = _as_int(self.base)
         if self.modulus < 4:
             raise ValueError("modulus must be a composite integer >= 4")
         if not 1 < self.base < self.modulus:
@@ -71,10 +73,8 @@ class ShorInstance:
         if math.gcd(self.base, self.modulus) != 1:
             raise ValueError("base shares a factor with the modulus; pick a coprime base")
         default_bits = max(1, (self.modulus - 1).bit_length())
-        if self.x_bits is None:
-            self.x_bits = default_bits
-        if self.f_bits is None:
-            self.f_bits = default_bits
+        self.x_bits = default_bits if self.x_bits is None else _as_int(self.x_bits)
+        self.f_bits = default_bits if self.f_bits is None else _as_int(self.f_bits)
         if self.x_bits < 1 or self.f_bits < 1:
             raise ValueError("register widths must be positive")
         if (1 << self.x_bits) < self.modulus:
@@ -257,6 +257,7 @@ def grover_search(
     query is a member iff some rotation R_r leaves a nonzero status at
     every cell (i, R_r(i)); the witness is the first such rotation.
     """
+    query = _as_int(query)
     if not 0 <= query < (1 << db.width):
         raise ValueError(f"query {query} does not fit in {db.width} bits")
     encoded = grover_encode(db, pset)

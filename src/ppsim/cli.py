@@ -117,7 +117,7 @@ def cmd_demod(args: argparse.Namespace) -> None:
             f"wrote {matrix.field_count}x{matrix.reference_count} matrix -> {args.out}"
         )
         return
-    for row in matrix.cell_strings():
+    for row in matrix.to_strings():
         print(" ".join(row))
 
 

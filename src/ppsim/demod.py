@@ -18,18 +18,14 @@ import numpy as np
 
 from .errors import DimensionMismatchError
 from .fields import MODE0, MODE1, ClassicalField
-from .sequences import PhaseSequence, PpsSet, bit_carriers
+from .sequences import PpsSet, bit_carriers, correlate
 
 DEFAULT_THRESHOLD = 0.5
 
 
-def demodulate_mode(fld: ClassicalField, mode: int, ref: PhaseSequence) -> complex:
-    """Correlation (1/N) sum samples[k, mode] e^{-i lambda_k} for one mode."""
-    if fld.slot_count != len(ref):
-        raise DimensionMismatchError(
-            f"field has {fld.slot_count} slots, reference has {len(ref)} units"
-        )
-    return complex(np.vdot(ref.carrier, fld.samples[:, mode]) / fld.slot_count)
+def demodulate_mode(fld: ClassicalField, mode: int, ref: np.ndarray) -> complex:
+    """Correlation (1/N) sum samples[k, mode] e^{-i lambda_k} against carrier `ref`."""
+    return correlate(fld.samples[:, mode], ref)
 
 
 def quantize(raw, tau: float = DEFAULT_THRESHOLD):
@@ -82,13 +78,9 @@ class ModeStatus:
     def is_zero(self) -> bool:
         return self.a_tilde == 0 and self.b_tilde == 0
 
-    def as_string(self) -> str:
-        """Cell grammar used by files and displays: "0" or "(a,b)"."""
-        return format_cell(self.pair)
-
 
 def mode_status(
-    fld: ClassicalField, ref: PhaseSequence, tau: float = DEFAULT_THRESHOLD
+    fld: ClassicalField, ref: np.ndarray, tau: float = DEFAULT_THRESHOLD
 ) -> ModeStatus:
     """Demodulate both modes of one field and quantize."""
     raw0 = demodulate_mode(fld, MODE0, ref)
@@ -168,8 +160,6 @@ class ModeStatusMatrix(SignGrid):
         """(fields, references, 2) int8 array of quantized pairs."""
         return self.cells.copy()
 
-    cell_strings = SignGrid.to_strings
-
     @classmethod
     def from_pairs(cls, pairs: list[list[tuple[int, int]]]) -> "ModeStatusMatrix":
         """Build a matrix from quantized pairs alone (raws set to the pair)."""
@@ -178,21 +168,21 @@ class ModeStatusMatrix(SignGrid):
 
 def mode_status_matrix(
     fields: list[ClassicalField],
-    refs: list[PhaseSequence] | None = None,
+    refs: list[np.ndarray] | np.ndarray | None = None,
     tau: float = DEFAULT_THRESHOLD,
     pset: PpsSet | None = None,
 ) -> ModeStatusMatrix:
     """Demodulate every field against every reference.
 
-    Give exactly one reference source: `refs`, an explicit list of
-    sequences, or `pset`, a sequence set whose references 1..len(fields)
-    are used (the canonical square matrix).
+    Give exactly one reference source: `refs`, carrier rows such as
+    `pset.sequence(j)` (a list or a 2-D array), or `pset`, a sequence set
+    whose references 1..len(fields) are used (the canonical square matrix).
     """
     if refs is not None and pset is not None:
         raise TypeError("pass refs or pset, not both")
     if isinstance(refs, PpsSet) or (pset is not None and not isinstance(pset, PpsSet)):
-        raise TypeError("refs takes a list of sequences and pset a sequence set")
-    if not fields or (pset is None and not refs):
+        raise TypeError("refs takes carrier rows and pset a sequence set")
+    if not fields or (pset is None and (refs is None or len(refs) == 0)):
         raise DimensionMismatchError("need at least one field and one reference")
     if pset is not None:
         if len(fields) > pset.usable_count:
@@ -201,9 +191,9 @@ def mode_status_matrix(
             )
         carriers = bit_carriers(pset.bit_rows[1 : len(fields) + 1], pset.mapping_phase)
     else:
-        carriers = np.stack([r.carrier for r in refs])
+        carriers = np.asarray(refs)
     slot_count = fields[0].slot_count
-    if carriers.shape[1] != slot_count:
+    if carriers.ndim != 2 or carriers.shape[1] != slot_count:
         raise DimensionMismatchError("reference length differs from field length")
     stack = np.stack([f.samples for f in fields])  # (nf, N, 2)
     raw = np.einsum("fkm,rk->frm", stack, carriers.conj(), optimize=True) / slot_count

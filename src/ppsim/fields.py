@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .sequences import PhaseSequence, PpsSet, bit_carriers
+from .errors import DimensionMismatchError, _as_int
+from .sequences import PpsSet, bit_carriers
 
 MODE0 = 0
 MODE1 = 1
@@ -89,13 +89,16 @@ def make_single_pps_field(
     pset: PpsSet, j: int, mode_weights: tuple[complex, complex] = (1.0, 1.0)
 ) -> ClassicalField:
     """Field carrying one sequence on both modes: e^{i lambda^(j)} (a|0> + b|1>)."""
-    carrier = bit_carriers(pset.bit_rows[j], pset.mapping_phase)
+    carrier = pset.sequence(j)
     alpha, beta = mode_weights
     return ClassicalField(np.stack([alpha * carrier, beta * carrier], axis=1))
 
 
 def canonical_inputs(pset: PpsSet, n: int) -> list[ClassicalField]:
     """The standard gate-array inputs e^{i lambda^(k)} (|0> + |1>), k = 1..n."""
+    n = _as_int(n)
+    if n < 0:
+        raise ValueError(f"field count must be nonnegative, got {n}")
     if n > pset.usable_count:
         raise DimensionMismatchError(
             f"{n} fields requested but set has {pset.usable_count} usable sequences"
@@ -105,13 +108,13 @@ def canonical_inputs(pset: PpsSet, n: int) -> list[ClassicalField]:
     return [ClassicalField(samples) for samples in bit_carriers(bits, pset.mapping_phase)]
 
 
-def modulate(fld: ClassicalField, seq: PhaseSequence) -> ClassicalField:
-    """Multiply both modes of every slot by e^{i lambda_k}."""
-    if fld.slot_count != len(seq):
+def modulate(fld: ClassicalField, carrier: np.ndarray) -> ClassicalField:
+    """Multiply both modes of every slot by the carrier row e^{i lambda_k}."""
+    if fld.slot_count != len(carrier):
         raise DimensionMismatchError(
-            f"field has {fld.slot_count} slots, sequence has {len(seq)} units"
+            f"field has {fld.slot_count} slots, sequence has {len(carrier)} units"
         )
-    return ClassicalField(fld.samples * seq.carrier[:, None])
+    return ClassicalField(fld.samples * carrier[:, None])
 
 
 def apply_unitary(fld: ClassicalField, u: Unitary2) -> ClassicalField:

@@ -22,6 +22,7 @@ from .errors import (
     DegenerateStateError,
     DimensionMismatchError,
     NonPrimitivePolynomialError,
+    _as_int,
 )
 
 PI = math.pi
@@ -49,36 +50,6 @@ PRIMITIVE_POLYNOMIALS: dict[int, tuple[int, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class BitSequence:
-    """An ordered GF(2) sequence, the raw m-sequence before phase mapping."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError("bits must be 0 or 1")
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-
-@dataclass(frozen=True, eq=False)
-class PhaseSequence:
-    """One phase sequence lambda^(j): N phase units plus its set index."""
-
-    phases: np.ndarray
-    index: int
-
-    def __len__(self) -> int:
-        return self.phases.shape[0]
-
-    @property
-    def carrier(self) -> np.ndarray:
-        """Complex carrier e^{i lambda} of this sequence."""
-        return np.exp(1j * self.phases)
-
-
 def _poly_taps(polynomial: tuple[int, ...]) -> tuple[int, int]:
     """Validate an ascending coefficient list; return (degree, tap mask)."""
     coeffs = tuple(int(c) for c in polynomial)
@@ -98,8 +69,8 @@ def generate_m_sequence(
     polynomial: tuple[int, ...] | list[int],
     degree: int | None = None,
     seed: tuple[int, ...] | list[int] | None = None,
-) -> BitSequence:
-    """Run a Fibonacci LFSR for one full period and return its output.
+) -> tuple[int, ...]:
+    """Run a Fibonacci LFSR for one full period and return its output bits.
 
     `polynomial` is the ascending coefficient list of a degree-s feedback
     polynomial; the recurrence is b[k+s] = sum(c[t] * b[k+t], t < s) mod 2.
@@ -132,7 +103,7 @@ def generate_m_sequence(
             raise NonPrimitivePolynomialError("polynomial not primitive")
     if cur != state:
         raise NonPrimitivePolynomialError("polynomial not primitive")
-    return BitSequence(tuple(out))
+    return tuple(out)
 
 
 def _parse_mapping(mapping_phase: float | str) -> float:
@@ -184,14 +155,12 @@ class PpsSet:
             self._window_rows = table
         return self._window_rows
 
-    def sequence(self, j: int) -> PhaseSequence:
+    def sequence(self, j: int) -> np.ndarray:
+        """Carrier row e^{i lambda^(j)} of sequence j, equal to carriers[j]."""
+        j = _as_int(j)
         if not 0 <= j < self.length:
             raise IndexError(f"sequence index {j} out of range 0..{self.length - 1}")
-        return PhaseSequence(self.mapping_phase * self.bit_rows[j].astype(float), j)
-
-    @property
-    def sequences(self) -> list[PhaseSequence]:
-        return [self.sequence(j) for j in range(self.length)]
+        return bit_carriers(self.bit_rows[j], self.mapping_phase)
 
 
 def bit_carriers(bits: np.ndarray, mapping_phase: float) -> np.ndarray:
@@ -231,7 +200,7 @@ def build_pps_set(
     base = generate_m_sequence(polynomial, degree=degree, seed=seed)
     n = 1 << degree
     rows = np.zeros((n, n), dtype=np.uint8)
-    core = np.array(base.bits, dtype=np.uint8)
+    core = np.array(base, dtype=np.uint8)
     # rows 1.. read flat are n copies of the core: as N = 1 mod N-1, row j + 1
     # is the core rotated left by j, plus one unit that is then zeroed
     rows[1:].reshape(n, n - 1)[:] = core
@@ -239,22 +208,23 @@ def build_pps_set(
     return PpsSet(degree, tuple(int(c) for c in polynomial), _parse_mapping(mapping_phase), rows)
 
 
-def correlate(seq_i: PhaseSequence, seq_j: PhaseSequence) -> complex:
-    """Normalized correlation (1/N) sum e^{i(lambda_i - lambda_j)}."""
-    if len(seq_i) != len(seq_j):
-        raise DimensionMismatchError(
-            f"sequence lengths differ: {len(seq_i)} vs {len(seq_j)}"
-        )
-    return complex(np.mean(np.exp(1j * (seq_i.phases - seq_j.phases))))
+def correlate(a: np.ndarray, b: np.ndarray) -> complex:
+    """Normalized correlation (1/N) sum a_k conj(b_k) of two length-N rows.
+
+    For two carrier rows this is (1/N) sum e^{i(lambda_a - lambda_b)}.
+    """
+    if len(a) != len(b):
+        raise DimensionMismatchError(f"sequence lengths differ: {len(a)} vs {len(b)}")
+    return complex(np.vdot(b, a) / len(a))
 
 
-def balance_sum(seq_j: PhaseSequence, theta: float = 0.0) -> complex:
-    """Sum of e^{i(lambda + theta)} over all units of one sequence.
+def balance_sum(carrier: np.ndarray, theta: float = 0.0) -> complex:
+    """Sum of e^{i(lambda + theta)} over all units of one carrier row.
 
     Zero for every nonzero sequence of a pi-mapped set; N e^{i theta} for
     sequence 0.
     """
-    return complex(np.sum(np.exp(1j * (seq_j.phases + theta))))
+    return complex(np.sum(carrier * np.exp(1j * theta)))
 
 
 def sequence_product(i: int, j: int, pset: PpsSet) -> int:

@@ -69,6 +69,17 @@ def test_shor_instance_validation():
         ShorInstance(15, 7, x_bits=3)
 
 
+def test_shor_instance_follows_the_integer_rule():
+    inst = ShorInstance(15.0, np.int64(7), x_bits=4.0, f_bits=Fraction(8, 2))
+    values = (inst.modulus, inst.base, inst.x_bits, inst.f_bits)
+    assert values == (15, 7, 4, 4) and all(type(v) is int for v in values)
+    bad = [(15.5, 7, None, None), (15, True, None, None), (15, 7, 4.5, None),
+           (15, 7, None, float("nan"))]
+    for args in bad:
+        with pytest.raises(ValueError, match="expected an integer"):
+            ShorInstance(*args)
+
+
 def test_shor_encode_matches_reference(set4):
     ref = factoring_reference()
     table = shor_encode(ShorInstance(15, 7), set4)
@@ -356,6 +367,15 @@ def test_grover_query_range(set4):
         grover_search(db, 256, set4)
     with pytest.raises(ValueError):
         grover_search(db, -1, set4)
+
+
+def test_grover_query_follows_the_integer_rule(set4):
+    db = GroverDatabase(8, (1, 148))
+    for query in (148.7, True):
+        with pytest.raises(ValueError, match="expected an integer"):
+            grover_search(db, query, set4)
+    whole = grover_search(db, 148.0, set4)
+    assert whole.found and whole.witness == grover_search(db, 148, set4).witness
 
 
 def test_grover_width_budget(set3):

@@ -101,6 +101,14 @@ def test_simulate_prints_powers(tmp_path, set3):
     assert len(lines) == 2
 
 
+def test_simulate_negative_canonical_count_exits_5(tmp_path, set3):
+    pps = tmp_path / "set.pps"
+    save_pps_set(set3, pps)
+    proc = run_cli("simulate", "--canonical", "-3", "--pps", pps)
+    assert proc.returncode == 5 and proc.stdout == ""
+    assert "nonnegative" in proc.stderr
+
+
 def test_full_chain_bell_state(tmp_path, set3):
     pps = tmp_path / "set.pps"
     circuit = tmp_path / "bell.json"

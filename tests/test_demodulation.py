@@ -12,6 +12,7 @@ from ppsim import (
     bell_array,
     canonical_inputs,
     demodulate_mode,
+    format_cell,
     make_single_pps_field,
     mode_status,
     mode_status_matrix,
@@ -60,9 +61,9 @@ def test_mode_status_and_strings(set3):
     fld = make_single_pps_field(set3, 2, mode_weights=(1.0, -1.0))
     status = mode_status(fld, set3.sequence(2))
     assert status.pair == (1, -1)
-    assert status.as_string() == "(1,-1)"
+    assert format_cell(status.pair) == "(1,-1)"
     off = mode_status(fld, set3.sequence(5))
-    assert off.is_zero and off.as_string() == "0"
+    assert off.is_zero and format_cell(off.pair) == "0"
     with pytest.raises(ValueError):
         mode_status(fld, set3.sequence(2), tau=0.0)
 
@@ -88,7 +89,7 @@ def test_matrix_construction_and_access(set3):
     for i in range(1, 4):
         for j in range(1, 4):
             assert matrix.status(i, j).pair == ((1, 1) if i == j else (0, 0))
-    assert matrix.cell_strings()[0] == ["(1,1)", "0", "0"]
+    assert matrix.to_strings()[0] == ["(1,1)", "0", "0"]
 
 
 def test_matrix_against_explicit_references(set3):

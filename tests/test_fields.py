@@ -102,6 +102,25 @@ def test_canonical_inputs_equal_single_fields_bytewise(mapping):
             assert fld.samples.view(np.float64).tobytes() == want.view(np.float64).tobytes()
 
 
+def test_single_field_index_is_checked(set3):
+    with pytest.raises(IndexError):
+        make_single_pps_field(set3, -1)
+    with pytest.raises(IndexError):
+        make_single_pps_field(set3, 8)
+    with pytest.raises(ValueError, match="expected an integer"):
+        make_single_pps_field(set3, True)
+
+
+def test_canonical_inputs_count_is_nonnegative(set3):
+    assert canonical_inputs(set3, 0) == []
+    with pytest.raises(ValueError, match="nonnegative"):
+        canonical_inputs(set3, -3)
+    for n in (True, 1.5):
+        with pytest.raises(ValueError, match="expected an integer"):
+            canonical_inputs(set3, n)
+    assert len(canonical_inputs(set3, 2.0)) == 2
+
+
 def test_modulate_is_group_action(set3):
     fld = canonical_inputs(set3, 1)[0]
     double = modulate(modulate(fld, set3.sequence(2)), set3.sequence(5))

@@ -340,7 +340,7 @@ def test_compile_empty_row_blocks_bus(set3):
     table = PlacementTable.from_strings([["0", "0"], ["(1,0)", "(0,1)"]])
     array = compile_placement(table, set3)
     matrix = mode_status_matrix(array.run(canonical_inputs(set3, 2)), pset=set3)
-    assert matrix.cell_strings() == [["0", "0"], ["(1,0)", "(0,1)"]]
+    assert matrix.to_strings() == [["0", "0"], ["(1,0)", "(0,1)"]]
 
 
 def test_compile_too_large_for_set(set3):

@@ -41,7 +41,7 @@ def _reference_text(pset, mapping_text):
 
 def _rolled_rows(degree, seed=None):
     core = np.array(
-        generate_m_sequence(PRIMITIVE_POLYNOMIALS[degree], seed=seed).bits, dtype=np.uint8
+        generate_m_sequence(PRIMITIVE_POLYNOMIALS[degree], seed=seed), dtype=np.uint8
     )
     n = 1 << degree
     rows = np.zeros((n, n), dtype=np.uint8)

@@ -8,6 +8,7 @@ from ppsim import (
     HALF_PI,
     PI,
     PRIMITIVE_POLYNOMIALS,
+    ClassicalField,
     ClosureError,
     DegenerateStateError,
     DimensionMismatchError,
@@ -15,6 +16,7 @@ from ppsim import (
     balance_sum,
     build_pps_set,
     correlate,
+    demodulate_mode,
     generate_m_sequence,
     sequence_product,
 )
@@ -37,14 +39,14 @@ def test_builtin_polynomials_are_primitive():
 def test_m_sequence_balance_counts():
     # one more 1 than 0 in every maximal-length period
     for degree in (2, 3, 4, 5, 6):
-        bits = generate_m_sequence(PRIMITIVE_POLYNOMIALS[degree]).bits
+        bits = generate_m_sequence(PRIMITIVE_POLYNOMIALS[degree])
         assert sum(bits) == 2 ** (degree - 1)
 
 
 def test_m_sequence_custom_seed_is_cyclic_shift():
     poly = PRIMITIVE_POLYNOMIALS[3]
-    base = generate_m_sequence(poly).bits
-    shifted = generate_m_sequence(poly, seed=base[2:5]).bits
+    base = generate_m_sequence(poly)
+    shifted = generate_m_sequence(poly, seed=base[2:5])
     assert shifted == base[2:] + base[:2]
 
 
@@ -94,15 +96,40 @@ def test_window_property():
 
 
 def test_sequence_accessors(set3):
-    seq = set3.sequence(3)
-    assert seq.index == 3 and len(seq) == 8
-    assert np.allclose(seq.phases, PI * set3.bit_rows[3])
-    assert np.allclose(seq.carrier, np.exp(1j * seq.phases))
-    assert len(set3.sequences) == 8
+    carrier = set3.sequence(3)
+    assert carrier.shape == (8,)
+    assert np.allclose(carrier, np.exp(1j * PI * set3.bit_rows[3]))
     with pytest.raises(IndexError):
         set3.sequence(8)
     with pytest.raises(IndexError):
         set3.sequence(-1)
+
+
+@pytest.mark.parametrize("mapping", [PI, HALF_PI, 0.75])
+def test_carrier_rows_match_the_phase_formulas(mapping):
+    # sequence(j) is carriers[j] bit for bit, and the carrier-row forms of
+    # correlate, balance_sum and demodulate_mode equal the phase-domain ones
+    rng = np.random.default_rng(3)
+    for degree in range(2, 9):
+        pset = build_pps_set(degree, mapping_phase=mapping)
+        n = pset.length
+        phases = mapping * pset.bit_rows.astype(float)
+        table = pset.carriers.view(np.float64)
+        rows = [pset.sequence(j) for j in range(n)]
+        samples = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        fld = ClassicalField(samples)
+        for j, row in enumerate(rows):
+            assert np.array_equal(row.view(np.float64), table[j])
+            for i in (0, 1, n // 2, n - 1):
+                want = np.mean(np.exp(1j * (phases[i] - phases[j])))
+                assert abs(correlate(rows[i], row) - want) <= 1e-15
+            assert balance_sum(row) == np.sum(np.exp(1j * phases[j]))
+            want = np.sum(np.exp(1j * (phases[j] + 0.4)))
+            # a sum of n unit terms: compared per unit
+            assert abs(balance_sum(row, 0.4) - want) / n <= 1e-15
+            for mode in (0, 1):
+                want = np.vdot(np.exp(1j * phases[j]), samples[:, mode]) / n
+                assert abs(demodulate_mode(fld, mode, row) - want) <= 1e-15
 
 
 def test_orthonormality_pi_mapping():
