@@ -36,7 +36,7 @@ def main():
 
     result = shor_factor(inst, pset)
     print(f"\nreconstructed state, {len(result.state.terms)} kets of {inst.register_width} bits:")
-    for bits, coeff in result.state.sorted_terms():
+    for bits, coeff in result.state.terms.items():
         x = int(bits[: inst.x_bits], 2)
         f = int(bits[inst.x_bits :], 2)
         print(f"  |{bits}>  (x = {x:2d}, f = {f:2d}, coeff {coeff:+d})")

@@ -32,8 +32,8 @@ from .gates import (
 )
 from .reconstruct import (
     SimulatedState,
-    _diagonals,
     _expand,
+    _usable,
     reconstruct,
     rotation_columns,
     usable_rotations,
@@ -137,12 +137,13 @@ def _period_from_grid(matrix: SignGrid, f_bits: int) -> int:
 
     With no -1 on a usable diagonal every term adds with a positive sign, so
     the function kets are the suffixes the diagonals' last f_bits fields
-    generate. Otherwise the state is reconstructed.
+    generate, counted as distinct digit rows. Otherwise the state is
+    reconstructed.
     """
-    diagonals = _diagonals(matrix, usable_rotations(matrix))
+    diagonals = _usable(matrix)[1]
     if (diagonals < 0).any():
         return period_from_state(reconstruct(matrix), f_bits)
-    return len(set(_expand(diagonals[:, -f_bits:])[0]))
+    return len(set(map(bytes, _expand(diagonals[:, -f_bits:])[0])))
 
 
 def shor_factor(

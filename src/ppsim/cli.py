@@ -127,7 +127,7 @@ def cmd_reconstruct(args: argparse.Namespace) -> None:
     matrix = load_matrix(args.matrix)
     state = reconstruct(matrix)
     print(f"state: {state.pretty()}")
-    for bits, coeff in state.sorted_terms():
+    for bits, coeff in state.terms.items():
         print(f"{bits} {coeff:+d}")
     if args.sample:
         rng = np.random.default_rng(args.seed)

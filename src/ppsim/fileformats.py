@@ -243,7 +243,7 @@ def save_state(state: SimulatedState, path) -> None:
     """JSON list of {bitstring, coefficient}, sorted by bitstring."""
     _write_json(
         path,
-        [{"bitstring": b, "coefficient": c} for b, c in state.sorted_terms()],
+        [{"bitstring": b, "coefficient": c} for b, c in state.terms.items()],
     )
 
 

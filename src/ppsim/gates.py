@@ -364,6 +364,7 @@ def _compile_cells(cells: np.ndarray) -> GateArray:
 
 def product_array(n: int) -> GateArray:
     """n parallel pass-through gates: field i keeps sequence i on both modes."""
+    n = _as_int(n)
     if n < 1:
         raise ValueError("need at least one field")
     cells = np.zeros((n, n, 2), dtype=np.int8)
@@ -395,6 +396,7 @@ def bell_array(variant: str = "psi+") -> GateArray:
 def ghz_array(n: int = 3) -> GateArray:
     """Cyclic chain: field i gets sequence i on mode 0, sequence i+1 on mode 1
     (rotation R_1 carries |0...0>, rotation R_2 carries |1...1>)."""
+    n = _as_int(n)
     if n < 3:
         raise ValueError("chain needs at least 3 fields; use bell_array for pairs")
     cells = np.zeros((n, n, 2), dtype=np.int8)
@@ -411,6 +413,7 @@ def w_array(n: int = 3) -> GateArray:
     tap every bus from every row: 4,221 nodes at n = 63 (3,969 of them
     gates), where this broadcast needs 4n = 252.
     """
+    n = _as_int(n)
     if n < 2:
         raise ValueError("need at least 2 fields")
     nodes: dict[str, Node] = {}

@@ -2,17 +2,17 @@
 
 A square status matrix is read along its cyclic diagonals: rotation r
 pairs each field with one reference column, by `rotation_columns`, and one
-gather reads the sign pairs of any set of rotations. Each rotation whose
-statuses are all nonzero is usable and contributes one product term; the
-sum over rotations, with integer coefficients reduced by their common
-factor, is the simulated state. One vectorised scan of the sign grid
-finds the usable rotations for reconstruction, sampling and search.
+gather (`_usable`) reads the sign pairs of all n rotations. Each rotation
+whose statuses are all nonzero is usable and contributes one product term;
+the sum over rotations, with integer coefficients reduced by their common
+factor, is the simulated state. That one read serves reconstruction,
+sampling, search and the factoring period.
 
-The usable diagonals expand to kets in whole-array steps (`_expand`): the
-rotations with no both-mode cell form one block of digit rows, each
-rotation with k both-mode cells adds a block of 2**k rows, and every label
-comes from one decode of the digit buffer. A state of more than `MAX_KETS`
-kets raises StateTooLargeError before anything is allocated.
+The usable diagonals expand to 0/1 digit rows in whole-array steps
+(`_expand`): the rotations with no both-mode cell form one block, and each
+rotation with k both-mode cells adds a block of 2**k rows. Only a state's
+`terms` spell the rows as labels (`_spell`). A state of more than
+`MAX_KETS` kets raises StateTooLargeError before anything is allocated.
 """
 
 from __future__ import annotations
@@ -63,7 +63,11 @@ class SimulatedState:
             for bits, coeff in terms.items():
                 if len(bits) != self.width or bits.strip("01"):
                     raise ValueError(f"bad ket label {bits!r} for width {self.width}")
-                if int(coeff) != coeff:
+                try:
+                    whole = int(coeff)
+                except (OverflowError, ValueError):  # inf, NaN
+                    whole = None
+                if whole != coeff:
                     raise ValueError("coefficients must be integers")
                 if coeff:
                     cleaned[bits] = int(coeff)
@@ -78,9 +82,6 @@ class SimulatedState:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def sorted_terms(self) -> list[tuple[str, int]]:
-        return list(self.terms.items())
-
     def coefficient(self, bits: str) -> int:
         return self.terms.get(bits, 0)
 
@@ -89,7 +90,7 @@ class SimulatedState:
         if self.is_zero:
             return "0"
         parts = []
-        for bits, coeff in self.sorted_terms():
+        for bits, coeff in self.terms.items():
             sign = "-" if coeff < 0 else "+"
             mag = abs(coeff)
             body = f"|{bits}>" if mag == 1 else f"{mag}|{bits}>"
@@ -101,15 +102,23 @@ class SimulatedState:
         return text
 
 
-def _diagonals(grid: SignGrid, rotations) -> np.ndarray:
-    """(len(rotations), n, 2) sign pairs: [k, i] is what rotation rotations[k]
-    reads on field i, gathered in one step through `rotation_columns`."""
-    n = grid.cells.shape[0]
-    return grid.cells[np.arange(n), rotation_columns(n, rotations).T]
+def _usable(grid: SignGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Usable rotations r (1-based, ascending) and their (R, n, 2) sign pairs:
+    [k, i] is what rotation rotations[k] reads on field i. All n diagonals
+    are gathered in one step through `rotation_columns`."""
+    n, m = grid.cells.shape[:2]
+    if n != m:
+        raise DimensionMismatchError(f"matrix is {n}x{m}, rotations need a square grid")
+    rotations = np.arange(1, n + 1)
+    diagonals = grid.cells[np.arange(n), rotation_columns(n, rotations).T]
+    # a | b is nonzero exactly when the cell is not empty
+    usable = (diagonals[..., 0] | diagonals[..., 1]).all(axis=1)
+    return rotations[usable], diagonals[usable]
 
 
-def _expand(diagonals: np.ndarray) -> tuple[list[str], list[int]]:
-    """Ket labels and coefficients that (R, n, 2) diagonals expand to.
+def _expand(diagonals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(K, n) uint8 0/1 digit rows and int64 coefficients of the kets that
+    (R, n, 2) diagonals expand to.
 
     Field i of a diagonal is the factor (a|0> + b|1>); a both-mode cell
     gives both digits, so a diagonal with k of them expands to 2**k kets,
@@ -125,41 +134,42 @@ def _expand(diagonals: np.ndarray) -> tuple[list[str], list[int]]:
         raise StateTooLargeError(
             f"state would expand to {kets} kets, more than the {MAX_KETS} allowed"
         )
-    n = diagonals.shape[1]
-    digits = np.empty((kets, n + 1), dtype=np.uint8)  # each row a label and "\n"
-    digits[:, n] = ord("\n")
-    fixed = (a == 0).astype(np.uint8) + ord("0")  # the digit of a single-mode cell
+    digits = np.empty((kets, diagonals.shape[1]), dtype=np.uint8)
+    fixed = (a == 0).astype(np.uint8)  # the digit of a single-mode cell
     signs = np.where(both, 1, a + b).prod(axis=1)  # product of single-mode signs
     mixed = both.any(axis=1)
     plain = np.flatnonzero(~mixed)
-    digits[: len(plain), :n] = fixed[plain]
+    digits[: len(plain)] = fixed[plain]
     coeffs = [signs[plain]]
     row = len(plain)
     for r in np.flatnonzero(mixed).tolist():
         cols = np.flatnonzero(both[r])
-        block = digits[row : row + (1 << widths[r]), :n]
+        block = digits[row : row + (1 << widths[r])]
         block[:] = fixed[r]
         # bits of 0 .. 2**k - 1, first both-mode cell most significant
         index = np.arange(len(block), dtype="<u4").view(np.uint8).reshape(-1, 4)
         bits = np.unpackbits(index, axis=1, count=widths[r], bitorder="little")
-        block[:, cols] = bits[:, ::-1] + ord("0")
+        block[:, cols] = bits[:, ::-1]
         coeff = signs[r : r + 1]
         for pair in diagonals[r, cols]:
             coeff = np.multiply.outer(coeff, pair).ravel()
         coeffs.append(coeff)
         row += len(block)
-    return str(digits.data, "ascii").splitlines(), np.concatenate(coeffs).tolist()
+    return digits, np.concatenate(coeffs)
+
+
+def _spell(digits: np.ndarray) -> list[str]:
+    """Ket labels of (K, n) 0/1 digit rows, from one decode of an ASCII
+    buffer whose rows end in a newline."""
+    kets, n = digits.shape
+    text = np.full((kets, n + 1), ord("\n"), dtype=np.uint8)
+    np.add(digits, ord("0"), out=text[:, :n])
+    return str(text.data, "ascii").splitlines()
 
 
 def usable_rotations(grid: SignGrid) -> np.ndarray:
     """Rotations r (1-based, ascending) whose cyclic diagonal has no empty cell."""
-    n, m = grid.cells.shape[:2]
-    if n != m:
-        raise DimensionMismatchError(f"matrix is {n}x{m}, rotations need a square grid")
-    rotations = np.arange(1, n + 1)
-    diagonals = _diagonals(grid, rotations)
-    # a | b is nonzero exactly when the cell is not empty
-    return rotations[(diagonals[..., 0] | diagonals[..., 1]).all(axis=1)]
+    return _usable(grid)[0]
 
 
 def reconstruct(matrix: SignGrid) -> SimulatedState:
@@ -169,8 +179,9 @@ def reconstruct(matrix: SignGrid) -> SimulatedState:
     rotated status; all usable rotations expand together, by `_expand`.
     Raises StateTooLargeError when they expand to more than MAX_KETS kets.
     """
-    diagonals = _diagonals(matrix, usable_rotations(matrix))
-    labels, coeffs = _expand(diagonals)
+    diagonals = _usable(matrix)[1]
+    digits, coeffs = _expand(diagonals)
+    labels, coeffs = _spell(digits), coeffs.tolist()
     if len(diagonals) > 1:
         terms = Counter()
         for bits, coeff in zip(labels, coeffs):
@@ -191,12 +202,11 @@ def sample_measurement(
     Raises UnrepresentableStateError when every rotation has a hole.
     """
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    usable = usable_rotations(matrix)
-    if not usable.size:
+    diagonals = _usable(matrix)[1]
+    if not len(diagonals):
         raise UnrepresentableStateError("unrepresentable state")
-    rotation = usable[int(gen.integers(len(usable)))]
     digits = []
-    for a, b in _diagonals(matrix, [rotation])[0].tolist():
+    for a, b in diagonals[int(gen.integers(len(diagonals)))].tolist():
         if a != 0 and b != 0:
             digits.append("01"[int(gen.integers(2))])
         else:

@@ -235,7 +235,7 @@ def sequence_product(i: int, j: int, pset: PpsSet) -> int:
     candidate k is the row whose first `degree` bits match the XOR's; the
     whole row k is then checked against the XOR.
     """
-    n = pset.length
+    n, i, j = pset.length, _as_int(i), _as_int(j)
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"sequence indices {i}, {j} out of range 0..{n - 1}")
     rows = pset.bit_rows

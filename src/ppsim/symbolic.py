@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import ClassicalField
-from .sequences import PpsSet, bit_carriers, sequence_product
+from .sequences import PpsSet, bit_carriers
 
 
 @dataclass
@@ -58,49 +58,3 @@ def to_waveform(sf: SymbolicField, pset: PpsSet) -> ClassicalField:
 def symbolic_demodulate(sf: SymbolicField, j: int) -> tuple[complex, complex]:
     """Exact demodulation against reference j: plain coefficient lookup."""
     return (sf.mode0.get(j, 0j), sf.mode1.get(j, 0j))
-
-
-@dataclass
-class ProductExpansion:
-    """Joint expansion of two fields: e^{i lambda^(index)} sum amp[xy] |xy>."""
-
-    index: int
-    amplitudes: dict[str, complex]
-
-    def __post_init__(self):
-        for key in self.amplitudes:
-            if key not in ("00", "01", "10", "11"):
-                raise ValueError(f"bad joint ket label {key!r}")
-        self.amplitudes = {k: complex(v) for k, v in self.amplitudes.items() if complex(v)}
-
-
-def _single_index(sf: SymbolicField) -> int:
-    indices = sf.indices()
-    if len(indices) != 1:
-        raise ValueError("direct product is defined for single-sequence fields")
-    return indices.pop()
-
-
-def direct_product(
-    sf_a: SymbolicField, sf_b: SymbolicField, pset: PpsSet
-) -> ProductExpansion:
-    """Componentwise product of two single-sequence fields.
-
-    The carriers multiply into the carrier of sequence_product(a, b); the
-    mode amplitudes expand into the four joint terms alpha_a alpha_b |00>,
-    alpha_a beta_b |01>, beta_a alpha_b |10>, beta_a beta_b |11>.
-    """
-    a = _single_index(sf_a)
-    b = _single_index(sf_b)
-    combined = sequence_product(a, b, pset)
-    alpha_a, beta_a = sf_a.mode0.get(a, 0j), sf_a.mode1.get(a, 0j)
-    alpha_b, beta_b = sf_b.mode0.get(b, 0j), sf_b.mode1.get(b, 0j)
-    return ProductExpansion(
-        combined,
-        {
-            "00": alpha_a * alpha_b,
-            "01": alpha_a * beta_b,
-            "10": beta_a * alpha_b,
-            "11": beta_a * beta_b,
-        },
-    )

@@ -30,6 +30,7 @@ from ppsim import (
     parse_cell,
     product_array,
     reconstruct,
+    typical_state,
     w_array,
     zero_field,
 )
@@ -130,6 +131,16 @@ def test_node_integer_parameters(set3):
     for node, value in ((Output, False), (Input, True), (Split, 2.5), (Combine, float("nan"))):
         with pytest.raises(ValueError, match="expected an integer"):
             node(value)
+
+
+def test_builders_apply_the_integer_rule(set3):
+    for builder, n in ((product_array, 2), (ghz_array, 3), (w_array, 3)):
+        built, given = builder(n), builder(float(n))
+        assert given.nodes == built.nodes and given.edges == built.edges
+        for bad in (True, 2.5):
+            with pytest.raises(ValueError, match="expected an integer"):
+                builder(bad)
+    assert typical_state("ghz", set3, 3.0).state == typical_state("ghz", set3, 3).state
 
 
 def test_run_input_checks(set3):

@@ -95,6 +95,9 @@ def test_simulated_state_checks_every_label():
             SimulatedState(2, terms)
     with pytest.raises(ValueError, match="coefficients must be integers"):
         SimulatedState(2, {"00": 1, "11": 1.5})
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="coefficients must be integers"):
+            SimulatedState(2, {"00": 1, "11": bad})
     state = SimulatedState(2, {"00": 2.0, "11": True, "01": np.int64(4)})
     assert state.terms == {"00": 2, "01": 4, "11": 1}
     assert {type(c) for c in state.terms.values()} == {int}

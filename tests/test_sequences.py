@@ -206,6 +206,17 @@ def test_sequence_product_index_range(set3):
         sequence_product(0, 8, set3)
 
 
+def test_sequence_product_integer_rule(set3):
+    for one in (1.0, np.int64(1)):
+        assert sequence_product(one, 2, set3) == 4
+        assert sequence_product(2, one, set3) == 4
+    for bad in (True, 1.5):
+        with pytest.raises(ValueError, match="expected an integer"):
+            sequence_product(bad, 2, set3)
+        with pytest.raises(ValueError, match="expected an integer"):
+            sequence_product(2, bad, set3)
+
+
 def test_random_closure_sweep():
     rng = np.random.default_rng(5)
     for degree in (4, 5, 6):

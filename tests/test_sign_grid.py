@@ -63,6 +63,19 @@ def _plain_support(cells):
     return kets
 
 
+def _plain_draw(cells, gen):
+    """One draw by a per-cell scan: the rotation by one integers(len(usable)),
+    then one coin per both-mode field, in field order."""
+    n = len(cells)
+    usable = _plain_usable(cells)
+    r = usable[int(gen.integers(len(usable)))]
+    digits = ""
+    for i in range(n):
+        a, b = cells[i][(i + r - 1) % n]
+        digits += "01"[int(gen.integers(2))] if a and b else "01"[a == 0]
+    return digits
+
+
 def _reference_term(cells, r):
     """Rotation r's product term, grown field by field by doubling a ket dict."""
     n = len(cells)
@@ -158,6 +171,22 @@ def test_sample_support_matches_plain_scan():
         assert draws <= support
         if len(support) <= 16:
             assert draws == support
+
+
+def test_sample_draw_stream_matches_plain_sampler():
+    grids = itertools.islice(_random_grids(seed=31, per_size=38), 300)
+    drawn = 0
+    for seed, grid in enumerate(grids):
+        cells = grid.cells.tolist()
+        if not _plain_usable(cells):
+            with pytest.raises(UnrepresentableStateError):
+                sample_measurement(grid, seed)
+            continue
+        ours, plain = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = [sample_measurement(grid, ours) for _ in range(20)]
+        assert draws == [_plain_draw(cells, plain) for _ in range(20)]
+        drawn += 1
+    assert drawn > 150
 
 
 def test_grover_witness_matches_plain_scan(monkeypatch):

@@ -1,15 +1,12 @@
-"""Symbolic fields as the demodulation oracle, and direct products."""
+"""Symbolic fields as the demodulation oracle."""
 import numpy as np
 import pytest
 
 from ppsim import (
-    ProductExpansion,
     SymbolicField,
     build_pps_set,
     demodulate_mode,
-    direct_product,
     quantize,
-    sequence_product,
     symbolic_demodulate,
     to_waveform,
 )
@@ -93,40 +90,3 @@ def test_to_waveform_linearity(set3):
     direct = to_waveform(summed, set3).samples
     composed = scale * to_waveform(f, set3).samples + to_waveform(g, set3).samples
     assert np.abs(direct - composed).max() < 1e-12
-
-
-def test_direct_product_example(set3):
-    a = SymbolicField(mode0={1: 1.0}, mode1={1: 2.0})
-    b = SymbolicField(mode0={2: -1.0}, mode1={2: 0.5})
-    expansion = direct_product(a, b, set3)
-    assert expansion.index == sequence_product(1, 2, set3)
-    assert expansion.index == 4
-    assert expansion.amplitudes == {
-        "00": -1.0,
-        "01": 0.5,
-        "10": -2.0,
-        "11": 1.0,
-    }
-
-
-def test_direct_product_drops_zero_amplitudes(set3):
-    a = SymbolicField(mode0={1: 1.0}, mode1={})
-    b = SymbolicField(mode0={3: 1.0}, mode1={})
-    expansion = direct_product(a, b, set3)
-    assert set(expansion.amplitudes) == {"00"}
-
-
-def test_direct_product_rejects_multi_sequence(set3):
-    multi = SymbolicField(mode0={1: 1.0, 2: 1.0}, mode1={})
-    single = SymbolicField(mode0={3: 1.0}, mode1={})
-    with pytest.raises(ValueError, match="single-sequence"):
-        direct_product(multi, single, set3)
-    with pytest.raises(ValueError, match="single-sequence"):
-        direct_product(single, SymbolicField(mode0={}, mode1={}), set3)
-
-
-def test_product_expansion_validation():
-    with pytest.raises(ValueError):
-        ProductExpansion(index=1, amplitudes={"02": 1.0})
-    pruned = ProductExpansion(index=1, amplitudes={"00": 0.0, "11": 1.0})
-    assert pruned.amplitudes == {"11": 1.0}
