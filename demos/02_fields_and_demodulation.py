@@ -11,7 +11,6 @@ import numpy as np
 from ppsim import (
     ClassicalField,
     build_pps_set,
-    combine,
     demodulate_mode,
     make_single_pps_field,
     mode_status_matrix,
@@ -36,7 +35,7 @@ def main():
         print(f"  <field 1 mode 0 | lambda^({j})> = {raw.real:+.3f}")
 
     # superpose both fields and pull each component back out
-    mixed = combine([f1, f2])
+    mixed = ClassicalField(f1.samples + f2.samples)
     print("\nsuperposed field, demodulated on mode 0:")
     for j in range(1, n):
         raw = demodulate_mode(mixed, 0, pset.sequence(j))

@@ -23,6 +23,7 @@ from .gates import (
     BELL_VARIANTS,
     GateArray,
     PlacementTable,
+    _construction_name,
     apply_mode_gate,
     bell_array,
     compile_placement,
@@ -281,14 +282,15 @@ class TypicalState:
     state: SimulatedState
 
 
-TYPICAL_KINDS = ("product", "psi+", "psi-", "phi+", "phi-", "ghz", "w")
+TYPICAL_KINDS = ("product", *BELL_VARIANTS, "ghz", "w")
 
 
 def typical_state(kind: str, pset: PpsSet, n: int | None = None) -> TypicalState:
     """Build, demodulate, and reconstruct one of the named constructions.
 
     `kind` is one of product / psi+ / psi- / phi+ / phi- / ghz / w; `n`
-    sets the field count for product, ghz, and w (defaults 2, 3, 3).
+    sets the field count for product, ghz, and w (defaults 2, 3, 3); the
+    paired states take only n = 2.
     """
     array = builder_for(kind, n)
     outputs = array.run(canonical_inputs(pset, array.input_count))
@@ -298,10 +300,10 @@ def typical_state(kind: str, pset: PpsSet, n: int | None = None) -> TypicalState
 
 def builder_for(kind: str, n: int | None = None) -> GateArray:
     """The gate array a typical_state call would run, without running it."""
-    token = kind.strip().lower()
-    if token.startswith("bell"):
-        token = token[4:].lstrip(" -:")
+    token = _construction_name(kind)
     if token in BELL_VARIANTS:
+        if n is not None and _as_int(n) != 2:
+            raise ValueError(f"{token} pairs 2 fields, got n = {n}")
         return bell_array(token)
     if token == "ghz":
         return ghz_array(3 if n is None else n)

@@ -32,7 +32,7 @@ from .fileformats import (
     save_pps_set,
 )
 from .reconstruct import reconstruct, sample_measurement
-from .sequences import build_pps_set, degree_for
+from .sequences import _MAPPING_NAMES, build_pps_set, degree_for
 
 _SCHEMA_NOTES = """\
 file schemas:
@@ -210,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="ascending feedback coefficients c0,...,cs as CSV (default: built-in)",
     )
-    gen.add_argument("--mapping", choices=["pi", "pi/2"], default="pi")
+    gen.add_argument("--mapping", choices=list(_MAPPING_NAMES), default="pi")
     gen.add_argument("--out", required=True, help="output file")
 
     sim = command(

@@ -34,7 +34,7 @@ from .gates import (
     Unitary,
 )
 from .reconstruct import SimulatedState
-from .sequences import HALF_PI, PI, PpsSet, _parse_mapping, build_pps_set
+from .sequences import _MAPPING_NAMES, PpsSet, _parse_mapping, build_pps_set
 from .symbolic import SymbolicField
 
 
@@ -71,10 +71,9 @@ def _read_json(path):
 
 
 def _format_mapping(phase: float) -> str:
-    if math.isclose(phase, PI, rel_tol=0, abs_tol=1e-15):
-        return "pi"
-    if math.isclose(phase, HALF_PI, rel_tol=0, abs_tol=1e-15):
-        return "pi/2"
+    for name, value in _MAPPING_NAMES.items():
+        if math.isclose(phase, value, rel_tol=0, abs_tol=1e-15):
+            return name
     return repr(float(phase))
 
 
@@ -325,13 +324,11 @@ def save_symbolic_field(sf: SymbolicField, path) -> None:
 def load_symbolic_field(path) -> SymbolicField:
     obj = _read_json(path)
     with _malformed(path, "bad symbolic field file", _CONTENT_ERRORS):
-        maps = {}
-        for key in ("mode0", "mode1"):
-            maps[key] = {
-                _as_int(e["pps"]): complex(float(e["re"]), float(e["im"]))
-                for e in obj.get(key, [])
-            }
-    return SymbolicField(maps["mode0"], maps["mode1"])
+        maps = [
+            {e["pps"]: complex(float(e["re"]), float(e["im"])) for e in obj.get(key, [])}
+            for key in ("mode0", "mode1")
+        ]
+        return SymbolicField(*maps)  # which reads each index by the integer rule
 
 
 def save_grover_db(db: GroverDatabase, path) -> None:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .demod import SignGrid
 from .errors import DimensionMismatchError, _as_int
-from .fields import ClassicalField, Unitary2
+from .fields import ClassicalField
 from .reconstruct import rotation_columns
 from .sequences import PpsSet
 
@@ -98,8 +98,39 @@ class ModeGate:
             raise ValueError(f"unknown mode gate kind {self.kind!r}")
 
 
-class Unitary(Unitary2):
-    """The two-mode rotation Unitary2(chi, theta) as a gate-array node."""
+@dataclass(frozen=True)
+class Unitary:
+    """Two-mode rotation U(chi, theta) acting slotwise on (mode0, mode1).
+
+    The matrix is cos(chi) I + i sin(chi) (sx cos(theta) - sy sin(theta)):
+
+        [[cos chi,              i e^{i theta} sin chi],
+         [i e^{-i theta} sin chi,             cos chi]]
+
+    so U|0> = cos chi |0> + i e^{-i theta} sin chi |1>. Determinant is 1 and
+    U(pi/2, theta) squares to -I for every theta.
+    """
+
+    chi: float
+    theta: float
+
+    @property
+    def matrix(self) -> np.ndarray:
+        c, s = math.cos(self.chi), math.sin(self.chi)
+        return np.array(
+            [
+                [c, 1j * np.exp(1j * self.theta) * s],
+                [1j * np.exp(-1j * self.theta) * s, c],
+            ],
+            dtype=np.complex128,
+        )
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.chi) and math.isfinite(self.theta)):
+            raise ValueError("unitary parameters chi and theta must be finite")
+        u = self.matrix
+        if np.abs(u @ u.conj().T - np.eye(2)).max() > 1e-12:
+            raise ValueError("matrix is not unitary")
 
 
 @dataclass(frozen=True)
@@ -385,9 +416,17 @@ _BELL_TABLES = {
 BELL_VARIANTS = tuple(_BELL_TABLES)
 
 
+def _construction_name(name: str) -> str:
+    """A construction name stripped, lower-cased and without a "bell" prefix."""
+    if not isinstance(name, str):
+        raise ValueError(f"construction name must be a string, got {name!r}")
+    token = name.strip().lower()
+    return token[4:].lstrip(" -:") if token.startswith("bell") else token
+
+
 def bell_array(variant: str = "psi+") -> GateArray:
     """Two-field array preparing one of the four maximally paired states."""
-    v = variant.strip().lower()
+    v = _construction_name(variant)
     if v not in BELL_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {BELL_VARIANTS}")
     return _compile_cells(np.array(_BELL_TABLES[v], dtype=np.int8))

@@ -24,7 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .demod import SignGrid
-from .errors import DimensionMismatchError, StateTooLargeError, UnrepresentableStateError
+from .errors import (
+    DimensionMismatchError,
+    StateTooLargeError,
+    UnrepresentableStateError,
+    _as_int,
+)
 
 MAX_KETS = 1 << 22  # kets one reconstruction may expand to
 
@@ -47,6 +52,9 @@ class SimulatedState:
     terms: dict[str, int]
 
     def __post_init__(self):
+        self.width = _as_int(self.width)
+        if self.width < 0:
+            raise ValueError(f"ket width must be nonnegative, got {self.width}")
         terms = self.terms
         labels, coeffs = terms.keys(), terms.values()
         if (
@@ -67,7 +75,7 @@ class SimulatedState:
                     whole = int(coeff)
                 except (OverflowError, ValueError):  # inf, NaN
                     whole = None
-                if whole != coeff:
+                if whole != coeff or isinstance(coeff, (bool, np.bool_)):
                     raise ValueError("coefficients must be integers")
                 if coeff:
                     cleaned[bits] = int(coeff)

@@ -28,6 +28,8 @@ from .errors import (
 PI = math.pi
 HALF_PI = math.pi / 2.0
 
+_MAPPING_NAMES = {"pi": PI, "pi/2": HALF_PI}  # phases named in files and the CLI
+
 # Feedback polynomials over GF(2), ascending coefficients [c0, c1, ..., cs]
 # for c0 + c1 x + ... + cs x^s. Every entry is verified primitive by the
 # full-period check in generate_m_sequence (tests sweep the whole table).
@@ -107,12 +109,14 @@ def generate_m_sequence(
 
 
 def _parse_mapping(mapping_phase: float | str) -> float:
-    """Mapping phase from a number or the text "pi", "pi/2" or a float."""
+    """Finite mapping phase from a number, a name in _MAPPING_NAMES or float text."""
     if isinstance(mapping_phase, str):
-        named = {"pi": PI, "pi/2": HALF_PI}
         token = mapping_phase.strip().lower()
-        return named[token] if token in named else float(token)
-    return float(mapping_phase)
+        mapping_phase = _MAPPING_NAMES.get(token, token)
+    phase = float(mapping_phase)
+    if not math.isfinite(phase):
+        raise ValueError(f"mapping phase must be finite, got {mapping_phase!r}")
+    return phase
 
 
 @dataclass(eq=False)
@@ -190,13 +194,11 @@ def build_pps_set(
     position over the first N-1 units, keeping the final unit zero. `seed`
     is the first `degree` bits of row 1 (default all ones).
     """
+    degree, mapping_phase = _as_int(degree), _parse_mapping(mapping_phase)
     if polynomial is None:
-        try:
-            polynomial = PRIMITIVE_POLYNOMIALS[degree]
-        except KeyError:
-            raise ValueError(
-                f"no built-in polynomial for degree {degree}; supply one"
-            ) from None
+        if degree not in PRIMITIVE_POLYNOMIALS:
+            raise ValueError(f"no built-in polynomial for degree {degree}; supply one")
+        polynomial = PRIMITIVE_POLYNOMIALS[degree]
     base = generate_m_sequence(polynomial, degree=degree, seed=seed)
     n = 1 << degree
     rows = np.zeros((n, n), dtype=np.uint8)
@@ -205,7 +207,7 @@ def build_pps_set(
     # is the core rotated left by j, plus one unit that is then zeroed
     rows[1:].reshape(n, n - 1)[:] = core
     rows[1:, n - 1] = 0
-    return PpsSet(degree, tuple(int(c) for c in polynomial), _parse_mapping(mapping_phase), rows)
+    return PpsSet(degree, tuple(int(c) for c in polynomial), mapping_phase, rows)
 
 
 def correlate(a: np.ndarray, b: np.ndarray) -> complex:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import _as_int
 from .fields import ClassicalField
 from .sequences import PpsSet, bit_carriers
 
@@ -30,8 +31,8 @@ class SymbolicField:
     mode1: dict[int, complex] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.mode0 = {int(j): complex(c) for j, c in self.mode0.items() if complex(c)}
-        self.mode1 = {int(j): complex(c) for j, c in self.mode1.items() if complex(c)}
+        self.mode0 = {_as_int(j): complex(c) for j, c in self.mode0.items() if complex(c)}
+        self.mode1 = {_as_int(j): complex(c) for j, c in self.mode1.items() if complex(c)}
 
     def indices(self) -> set[int]:
         """All sequence indices present on either mode."""

@@ -14,6 +14,7 @@ from ppsim import (
     PeriodUnusableError,
     ShorInstance,
     TYPICAL_KINDS,
+    bell_array,
     builder_for,
     build_pps_set,
     canonical_inputs,
@@ -421,3 +422,34 @@ def test_builder_for(set3):
     assert arr.input_count == 4 and arr.output_count == 4
     with pytest.raises(ValueError):
         builder_for("cluster")
+
+
+def test_pair_kinds_take_only_two_fields(set3):
+    want = typical_state("phi-", set3).state
+    assert typical_state("phi-", set3, 2).state == want
+    assert typical_state("phi-", set3, 2.0).state == want
+    for n in (1, 3, 5):
+        with pytest.raises(ValueError, match="pairs 2 fields"):
+            builder_for("psi+", n)
+        with pytest.raises(ValueError, match="pairs 2 fields"):
+            typical_state("Bell Psi+", set3, n)
+    with pytest.raises(ValueError, match="expected an integer"):
+        builder_for("psi-", True)
+
+
+@pytest.mark.parametrize("kind", [None, 3, b"psi+", ("psi+",)])
+def test_construction_names_must_be_text(set3, kind):
+    for build in (builder_for, bell_array):
+        with pytest.raises(ValueError, match="construction name must be a string"):
+            build(kind)
+    with pytest.raises(ValueError, match="construction name must be a string"):
+        typical_state(kind, set3)
+
+
+def test_bell_array_reads_the_same_names_as_builder_for(set3):
+    inputs = canonical_inputs(set3, 2)
+    for name, variant in (("Bell Psi-", "psi-"), ("bellphi+", "phi+"), (" PHI- ", "phi-")):
+        got = [f.samples for f in bell_array(name).run(inputs)]
+        want = [f.samples for f in bell_array(variant).run(inputs)]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        assert builder_for(name).node_counts() == bell_array(variant).node_counts()

@@ -328,6 +328,20 @@ def test_demod_bad_pps_file_is_format_error(tmp_path, header, rows):
     assert proc.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("mapping", ["nan", "inf", "-inf"])
+def test_demod_nonfinite_mapping_is_format_error(tmp_path, mapping):
+    fields = tmp_path / "fields.json"
+    save_fields(canonical_inputs(build_pps_set(3), 2), fields)
+    pps = tmp_path / "set3.pps"
+    save_pps_set(build_pps_set(3), pps)
+    bad = tmp_path / "bad.pps"
+    bad.write_text(pps.read_text().replace("mapping: pi", f"mapping: {mapping}"))
+    proc = run_cli("demod", "--fields", fields, "--pps", bad)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error:") and "finite" in proc.stderr
+    assert not proc.stdout
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -17,7 +17,6 @@ from ppsim import (
     mode_status,
     mode_status_matrix,
     quantize,
-    zero_field,
 )
 
 
@@ -42,7 +41,7 @@ def test_demodulate_recovers_coefficients(set3):
 
 
 def test_demodulate_length_mismatch(set3, set4):
-    fld = zero_field(8)
+    fld = ClassicalField(np.zeros((8, 2)))
     with pytest.raises(DimensionMismatchError):
         demodulate_mode(fld, 0, set4.sequence(1))
 
@@ -136,14 +135,14 @@ def test_threshold_robustness(set3):
 
 
 def test_too_many_fields_for_set(set3):
-    fields = [zero_field(8) for _ in range(8)]
+    fields = [ClassicalField(np.zeros((8, 2))) for _ in range(8)]
     with pytest.raises(DimensionMismatchError):
         mode_status_matrix(fields, pset=set3)
 
 
 def test_matrix_slot_mismatch(set3):
     with pytest.raises(DimensionMismatchError):
-        mode_status_matrix([zero_field(4)], pset=set3)
+        mode_status_matrix([ClassicalField(np.zeros((4, 2)))], pset=set3)
 
 
 def test_mode_status_raw_retained(set3):

@@ -6,6 +6,7 @@ import pytest
 
 from ppsim import (
     BELL_VARIANTS,
+    ClassicalField,
     Combine,
     DimensionMismatchError,
     GateArray,
@@ -16,9 +17,7 @@ from ppsim import (
     PlacementTable,
     Split,
     Unitary,
-    Unitary2,
     apply_mode_gate,
-    apply_unitary,
     bell_array,
     build_pps_set,
     canonical_inputs,
@@ -32,7 +31,6 @@ from ppsim import (
     reconstruct,
     typical_state,
     w_array,
-    zero_field,
 )
 from ppsim.fixtures import typical_reference
 
@@ -148,7 +146,7 @@ def test_run_input_checks(set3):
     with pytest.raises(DimensionMismatchError):
         arr.run([])
     with pytest.raises(DimensionMismatchError):
-        bell_array().run([make_single_pps_field(set3, 1), zero_field(4)])
+        bell_array().run([make_single_pps_field(set3, 1), ClassicalField(np.zeros((4, 2)))])
 
 
 def test_unitary_and_flip_nodes(set3):
@@ -158,7 +156,7 @@ def test_unitary_and_flip_nodes(set3):
         edges=[("in0", "u"), ("u", "out0")],
     )
     (out,) = arr.run([fld])
-    assert np.allclose(out.samples, apply_unitary(fld, Unitary2(0.6, 1.1)).samples)
+    assert np.allclose(out.samples, fld.samples @ Unitary(0.6, 1.1).matrix.T)
     flip = GateArray(
         nodes={"in0": Input(0), "f": PhaseFlip(), "out0": Output(0)},
         edges=[("in0", "f"), ("f", "out0")],

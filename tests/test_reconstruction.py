@@ -98,9 +98,25 @@ def test_simulated_state_checks_every_label():
     for bad in (float("inf"), float("-inf"), float("nan")):
         with pytest.raises(ValueError, match="coefficients must be integers"):
             SimulatedState(2, {"00": 1, "11": bad})
-    state = SimulatedState(2, {"00": 2.0, "11": True, "01": np.int64(4)})
+    state = SimulatedState(2, {"00": 2.0, "11": np.uint8(1), "01": np.int64(4)})
     assert state.terms == {"00": 2, "01": 4, "11": 1}
     assert {type(c) for c in state.terms.values()} == {int}
+
+
+def test_simulated_state_width_is_a_nonnegative_integer():
+    assert SimulatedState(0, {}).is_zero  # what load_state gives for []
+    assert SimulatedState(2.0, {"01": 2}) == SimulatedState(2, {"01": 1})
+    for width in (2.5, True):
+        with pytest.raises(ValueError, match="expected an integer"):
+            SimulatedState(width, {})
+    with pytest.raises(ValueError, match="nonnegative"):
+        SimulatedState(-1, {})
+
+
+@pytest.mark.parametrize("flag", [True, False, np.bool_(True)])
+def test_simulated_state_rejects_bool_coefficients(flag):
+    with pytest.raises(ValueError, match="coefficients must be integers"):
+        SimulatedState(2, {"01": flag})
 
 
 def test_simulated_state_rejects_non_ascii_digits():

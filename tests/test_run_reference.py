@@ -17,7 +17,6 @@ from ppsim import (
     PhaseFlip,
     Split,
     Unitary,
-    Unitary2,
     canonical_inputs,
 )
 
@@ -150,7 +149,7 @@ def test_outputs_share_no_memory(set3, array):
         assert not any(np.shares_memory(out, other) for other in outputs[k + 1 :] + held)
 
 
-@pytest.mark.parametrize("node", [Unitary2(0.3, 1.0), "gate"])
+@pytest.mark.parametrize("node", [np.eye(2, dtype=np.complex128), "gate"])
 def test_array_rejects_objects_that_are_not_nodes(node):
     nodes = {"in0": Input(0), "u": node, "out0": Output(0)}
     with pytest.raises(ValueError, match="not a gate-array node"):

@@ -178,6 +178,20 @@ def test_mapping_tokens():
         build_pps_set(2, mapping_phase="tau")
 
 
+@pytest.mark.parametrize("mapping", [float("nan"), float("inf"), -np.inf, "nan", " -Inf "])
+def test_mapping_must_be_finite(mapping):
+    with pytest.raises(ValueError, match="mapping phase must be finite"):
+        build_pps_set(3, mapping_phase=mapping)
+
+
+def test_degree_is_an_integer():
+    assert np.array_equal(build_pps_set(3.0).bit_rows, build_pps_set(3).bit_rows)
+    assert build_pps_set(3.0).degree == 3 and type(build_pps_set(3.0).degree) is int
+    for bad in (True, 2.5):
+        with pytest.raises(ValueError, match="expected an integer"):
+            build_pps_set(bad)
+
+
 def test_closure_forms_group(set3):
     n = set3.length
     table = [[sequence_product(i, j, set3) for j in range(n)] for i in range(n)]

@@ -34,6 +34,17 @@ def test_symbolic_field_prunes_zeros():
     assert sf.indices() == {2}
 
 
+def test_symbolic_field_indices_are_integers():
+    sf = SymbolicField(mode0={np.int64(2): 1.0, 3.0: 2.0}, mode1={"5": 1j})
+    assert sf.mode0 == {2: 1.0, 3: 2.0} and sf.mode1 == {5: 1j}
+    assert {type(j) for j in sf.indices()} == {int}
+    for bad in ({1.5: 1.0}, {True: 1.0}):
+        with pytest.raises(ValueError, match="expected an integer"):
+            SymbolicField(mode0=bad)
+        with pytest.raises(ValueError, match="expected an integer"):
+            SymbolicField(mode1=bad)
+
+
 def test_to_waveform_matches_manual_sum(set3):
     sf = SymbolicField(mode0={1: 0.5, 4: -2.0}, mode1={2: 1j})
     fld = to_waveform(sf, set3)
