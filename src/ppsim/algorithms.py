@@ -17,7 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .demod import DEFAULT_THRESHOLD, ModeStatusMatrix, SignGrid, mode_status_matrix
-from .errors import DimensionMismatchError, PeriodUnusableError, _as_int
+from .errors import (
+    DimensionMismatchError,
+    PeriodUnusableError,
+    StateTooLargeError,
+    _as_int,
+)
 from .fields import ClassicalField, canonical_inputs
 from .gates import (
     BELL_VARIANTS,
@@ -32,6 +37,7 @@ from .gates import (
     w_array,
 )
 from .reconstruct import (
+    MAX_KETS,
     SimulatedState,
     _expand,
     _usable,
@@ -55,14 +61,12 @@ def _msb_bits(values, width: int) -> np.ndarray:
 class ShorInstance:
     """A factoring instance: find the period of f(x) = base^x mod modulus.
 
-    Register widths default to ceil(log2(modulus)) bits each; register 1
+    Both registers are (modulus - 1).bit_length() bits wide: register 1
     spans all 2**x_bits arguments, register 2 holds the function values.
     """
 
     modulus: int
     base: int
-    x_bits: int | None = None
-    f_bits: int | None = None
 
     def __post_init__(self):
         self.modulus = _as_int(self.modulus)
@@ -73,13 +77,12 @@ class ShorInstance:
             raise ValueError("base must satisfy 1 < base < modulus")
         if math.gcd(self.base, self.modulus) != 1:
             raise ValueError("base shares a factor with the modulus; pick a coprime base")
-        default_bits = max(1, (self.modulus - 1).bit_length())
-        self.x_bits = default_bits if self.x_bits is None else _as_int(self.x_bits)
-        self.f_bits = default_bits if self.f_bits is None else _as_int(self.f_bits)
-        if self.x_bits < 1 or self.f_bits < 1:
-            raise ValueError("register widths must be positive")
-        if (1 << self.x_bits) < self.modulus:
-            raise ValueError("2**x_bits must reach the modulus")
+
+    @property
+    def x_bits(self) -> int:
+        return (self.modulus - 1).bit_length()
+
+    f_bits = x_bits
 
     @property
     def register_width(self) -> int:
@@ -92,24 +95,31 @@ class ShorInstance:
 def shor_encode(inst: ShorInstance, pset: PpsSet) -> PlacementTable:
     """Placement table carrying every joint ket |x>|f(x)> of the instance.
 
-    Arguments x are grouped by f(x) in order of first appearance; group g
-    uses rotation R_g, so the joint bits of each member x land on cell
-    (i, R_g(i)) of the table, mode chosen by bit i of x||f(x) (MSB first).
-    Contributions aggregate: a cell touched on both modes reads (1, 1).
+    Argument x lies in residue class x mod r, r the order of the base, and
+    rides rotation R = R_(x mod r + 1): bit i of x||f(x) (MSB first) picks
+    the mode of cell (i, R(i)). A cell touched on both modes reads (1, 1).
     """
     n = inst.register_width
     if n > pset.usable_count:
         raise DimensionMismatchError(
             f"instance needs {n} sequences, set provides {pset.usable_count}"
         )
-    values = [inst.f(x) for x in range(1 << inst.x_bits)]
-    groups = {value: g for g, value in enumerate(dict.fromkeys(values), start=1)}
-    if len(groups) > n:
-        raise DimensionMismatchError("more residue classes than table rotations")
-    joints = [(x << inst.f_bits) | value for x, value in enumerate(values)]
+    powers = [1]  # f(0), ..., f(r - 1)
+    while (value := powers[-1] * inst.base % inst.modulus) != 1:
+        if len(powers) == n:
+            raise DimensionMismatchError("more residue classes than table rotations")
+        powers.append(value)
+    kets = 1 << inst.x_bits
+    if kets * n > MAX_KETS:
+        raise StateTooLargeError(
+            f"{kets} kets of {n} bits are {kets * n} bits, more than the {MAX_KETS} allowed"
+        )
+    x = np.arange(kets)
+    classes = x % len(powers)
+    joints = (x << inst.f_bits) | np.array(powers)[classes]
     cells = np.zeros((n, n, 2), dtype=np.int8)
-    columns = rotation_columns(n, [groups[value] for value in values])  # [i, x]
-    cells[np.arange(n)[:, None], columns, _msb_bits(joints, n).T] = 1
+    columns = rotation_columns(n, classes + 1)  # [i, x]
+    cells[np.arange(n)[:, None], columns, _msb_bits(joints.tolist(), n).T] = 1
     return PlacementTable(cells)
 
 

@@ -45,7 +45,7 @@ file schemas:
   field dump (JSON): {"slot_count": N, "fields": [{"mode0": [[re,im],...],
                      "mode1": [[re,im],...]}, ...]}; round-trips bit-exactly.
   matrix (JSON/CSV): grid of cells "0" or "(a,b)" with a,b in {-1,0,1};
-                     JSON form is {"cells": [[...],...]}, CSV one row per line.
+                     a .csv file is CSV rows, any other is {"cells": [[...],...]}.
   state (JSON):      [{"bitstring": "0101", "coefficient": 1}, ...].
   circuit (JSON):    {"nodes": [{"id", "kind": input|output|split|gate|
                      unitary|flip|combine, ...params}], "edges": [[from,to],...]}.
@@ -112,7 +112,7 @@ def cmd_demod(args: argparse.Namespace) -> None:
     pset = load_pps_set(args.pps)
     matrix = mode_status_matrix(fields, pset=pset, tau=args.tau)
     if args.out is not None:
-        save_matrix(matrix, args.out, fmt=args.format)
+        save_matrix(matrix, args.out)
         print(
             f"wrote {matrix.field_count}x{matrix.reference_count} matrix -> {args.out}"
         )
@@ -240,8 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     dem.add_argument("--fields", required=True, help="field dump JSON")
     dem.add_argument("--pps", required=True, help="PPS set file")
     dem.add_argument("--tau", type=float, default=DEFAULT_THRESHOLD)
-    dem.add_argument("--out", default=None, help="matrix file (.json or .csv)")
-    dem.add_argument("--format", choices=["json", "csv"], default=None)
+    dem.add_argument("--out", default=None, help="matrix file: .csv is CSV, else JSON")
 
     rec = command(
         sub,

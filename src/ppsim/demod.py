@@ -193,6 +193,8 @@ def mode_status_matrix(
     else:
         carriers = np.asarray(refs)
     slot_count = fields[0].slot_count
+    if any(f.slot_count != slot_count for f in fields):
+        raise DimensionMismatchError("input fields differ in length")
     if carriers.ndim != 2 or carriers.shape[1] != slot_count:
         raise DimensionMismatchError("reference length differs from field length")
     stack = np.stack([f.samples for f in fields])  # (nf, N, 2)

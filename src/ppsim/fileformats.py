@@ -191,27 +191,26 @@ def load_fields(path) -> list[ClassicalField]:
     return out
 
 
-def save_matrix(obj, path, fmt: str | None = None) -> None:
-    """Write a status matrix or placement table as a JSON or CSV cell grid.
+def _is_csv(path) -> bool:
+    """A matrix file's format is its suffix: .csv is CSV, any other is JSON."""
+    return str(path).lower().endswith(".csv")
 
-    Format follows `fmt` ("json"/"csv") or, when omitted, the file suffix.
-    """
+
+def save_matrix(obj, path) -> None:
+    """Write a status matrix or placement table as a JSON or CSV cell grid."""
     if not isinstance(obj, SignGrid):
         raise TypeError(f"cannot serialize {type(obj).__name__} as a status grid")
     rows = obj.to_strings()
-    chosen = fmt or ("csv" if str(path).lower().endswith(".csv") else "json")
-    if chosen == "csv":
+    if _is_csv(path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(rows)
-    elif chosen == "json":
-        _write_json(path, {"cells": rows})
     else:
-        raise ValueError(f"unknown matrix format {fmt!r}")
+        _write_json(path, {"cells": rows})
 
 
 def load_matrix_cells(path) -> list[list[str]]:
     """Raw cell-string grid from a JSON or CSV matrix file."""
-    if str(path).lower().endswith(".csv"):
+    if _is_csv(path):
         rows = [row for row in csv.reader(_read_text(path).splitlines()) if row]
     else:
         obj = _read_json(path)
@@ -324,6 +323,8 @@ def save_symbolic_field(sf: SymbolicField, path) -> None:
 def load_symbolic_field(path) -> SymbolicField:
     obj = _read_json(path)
     with _malformed(path, "bad symbolic field file", _CONTENT_ERRORS):
+        if not isinstance(obj, dict):
+            raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
         maps = [
             {e["pps"]: complex(float(e["re"]), float(e["im"])) for e in obj.get(key, [])}
             for key in ("mode0", "mode1")

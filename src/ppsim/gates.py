@@ -208,10 +208,9 @@ class GateArray:
                 out_idx.append(node.index)
         if not in_idx or not out_idx:
             raise ValueError("array needs at least one input and one output")
-        if sorted(in_idx) != list(range(len(in_idx))):
-            raise ValueError("input indexes must cover 0..n-1 exactly once")
-        if sorted(out_idx) != list(range(len(out_idx))):
-            raise ValueError("output indexes must cover 0..n-1 exactly once")
+        for kind, idx in (("input", in_idx), ("output", out_idx)):
+            if sorted(idx) != list(range(len(idx))):
+                raise ValueError(f"{kind} indexes must cover 0..n-1 exactly once")
         self._counts = (len(in_idx), len(out_idx))
         # Kahn's order: a node is ready once every one of its in-edges is fed
         waiting = {nid: len(ins) for nid, ins in self._in_edges.items()}
@@ -354,20 +353,15 @@ def _compile_cells(cells: np.ndarray) -> GateArray:
             add_chain(i, j, "B", a < 0)
         if b:
             add_chain(i, j, "C", b < 0)
-    # an empty row consumes its own bus through a blocking gate
-    for i in range(1, n + 1):
-        if not row_terms[i]:
-            gid = f"gA_{i}_{i}"
-            nodes[gid] = ModeGate("A")
-            bus_taps[i].append(gid)
-            row_terms[i].append(gid)
-    # any bus still unconsumed is blocked and parked on its own row
-    for j in range(1, n + 1):
-        if not bus_taps[j]:
-            gid = f"gA_{j}_{j}"
-            nodes[gid] = ModeGate("A")
-            bus_taps[j].append(gid)
-            row_terms[j].append(gid)
+    # an empty row consumes its own bus through a blocking gate; then any bus
+    # still unconsumed is blocked the same way and parked on its own row
+    for pending in (row_terms, bus_taps):
+        for k in range(1, n + 1):
+            if not pending[k]:
+                gid = f"gA_{k}_{k}"
+                nodes[gid] = ModeGate("A")
+                bus_taps[k].append(gid)
+                row_terms[k].append(gid)
     for j in range(1, n + 1):
         bid = f"in{j}"
         nodes[bid] = Input(j - 1)

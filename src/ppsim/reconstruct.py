@@ -95,19 +95,12 @@ class SimulatedState:
 
     def pretty(self) -> str:
         """Readable rendering such as "|00> + |11>" or "|01> - |10>"."""
-        if self.is_zero:
-            return "0"
-        parts = []
+        text = ""
         for bits, coeff in self.terms.items():
             sign = "-" if coeff < 0 else "+"
-            mag = abs(coeff)
-            body = f"|{bits}>" if mag == 1 else f"{mag}|{bits}>"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+            text += f" {sign} " if text else ("-" if coeff < 0 else "")
+            text += f"|{bits}>" if abs(coeff) == 1 else f"{abs(coeff)}|{bits}>"
+        return text or "0"
 
 
 def _usable(grid: SignGrid) -> tuple[np.ndarray, np.ndarray]:

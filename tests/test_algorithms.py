@@ -66,19 +66,26 @@ def test_shor_instance_validation():
         ShorInstance(15, 15)
     with pytest.raises(ValueError, match="coprime"):
         ShorInstance(15, 5)
-    with pytest.raises(ValueError):
-        ShorInstance(15, 7, x_bits=3)
 
 
 def test_shor_instance_follows_the_integer_rule():
-    inst = ShorInstance(15.0, np.int64(7), x_bits=4.0, f_bits=Fraction(8, 2))
+    inst = ShorInstance(15.0, np.int64(7))
     values = (inst.modulus, inst.base, inst.x_bits, inst.f_bits)
     assert values == (15, 7, 4, 4) and all(type(v) is int for v in values)
-    bad = [(15.5, 7, None, None), (15, True, None, None), (15, 7, 4.5, None),
-           (15, 7, None, float("nan"))]
-    for args in bad:
+    for args in [(15.5, 7), (15, True)]:
         with pytest.raises(ValueError, match="expected an integer"):
             ShorInstance(*args)
+
+
+def test_shor_register_widths_follow_the_modulus():
+    for modulus in range(4, 601):
+        inst = ShorInstance(modulus, modulus - 1)
+        width = (modulus - 1).bit_length()
+        assert inst.x_bits == inst.f_bits == width and 2**inst.x_bits >= modulus
+    with pytest.raises(TypeError):
+        ShorInstance(15, 7, x_bits=4)
+    with pytest.raises(AttributeError):
+        inst.x_bits = 3
 
 
 def test_shor_encode_matches_reference(set4):

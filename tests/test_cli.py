@@ -148,6 +148,30 @@ def test_demod_prints_grid(tmp_path, set3):
     assert proc.stdout.splitlines() == ["(1,0) (0,1)", "(-1,0) (0,1)"]
 
 
+@pytest.mark.parametrize("name", ["matrix.csv", "matrix.json", "matrix.txt"])
+def test_demod_matrix_format_follows_the_suffix(tmp_path, set3, name):
+    pps = tmp_path / "set.pps"
+    fields = tmp_path / "fields.json"
+    matrix = tmp_path / name
+    save_pps_set(set3, pps)
+    save_fields(bell_array("psi+").run(canonical_inputs(set3, 2)), fields)
+    assert run_cli("demod", "--fields", fields, "--pps", pps, "--out", matrix).returncode == 0
+    rec = run_cli("reconstruct", "--matrix", matrix)
+    assert rec.returncode == 0, rec.stderr
+    assert rec.stdout.splitlines()[0] == "state: |00> + |11>"
+    dem = run_cli("demod", "--fields", fields, "--pps", pps, "--format", "csv")
+    assert dem.returncode == 2
+
+
+def test_shor_refuses_large_moduli_at_once():
+    # a short timeout, so that listing all 2**30 arguments fails, not swaps
+    argv = [sys.executable, "-m", "ppsim", "shor", "--modulus", "1073741827"]
+    wide = subprocess.run(argv + ["--base", "2"], capture_output=True, text=True, timeout=20)
+    assert wide.returncode == 4 and "more residue classes" in wide.stderr
+    many = run_cli("shor", "--modulus", "1048583", "--base", "1048582")
+    assert many.returncode == 5 and many.stderr.rstrip().endswith("allowed")
+
+
 def test_reconstruct_sampling_deterministic(tmp_path, set3):
     pps = tmp_path / "set.pps"
     fields = tmp_path / "fields.json"

@@ -145,6 +145,14 @@ def test_matrix_slot_mismatch(set3):
         mode_status_matrix([ClassicalField(np.zeros((4, 2)))], pset=set3)
 
 
+def test_matrix_fields_of_unequal_length(set3):
+    fields = canonical_inputs(set3, 2) + [ClassicalField(np.zeros((4, 2)))]
+    with pytest.raises(DimensionMismatchError, match="input fields differ in length"):
+        mode_status_matrix(fields, pset=set3)
+    with pytest.raises(DimensionMismatchError, match="input fields differ in length"):
+        mode_status_matrix(fields[::-1], refs=[set3.sequence(1)])
+
+
 def test_mode_status_raw_retained(set3):
     fld = _field_from_sets(set3, [2], [], coeffs={(0, 2): 0.75})
     status = mode_status(fld, set3.sequence(2))

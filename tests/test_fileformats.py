@@ -14,7 +14,6 @@ from ppsim import (
     ModeGate,
     Output,
     PhaseFlip,
-    PlacementTable,
     SimulatedState,
     Split,
     SymbolicField,
@@ -118,10 +117,15 @@ def test_matrix_round_trip_json_and_csv(tmp_path, set3):
         path = tmp_path / name
         save_matrix(matrix, path)
         assert load_matrix(path) == matrix
-    # explicit fmt overrides the suffix
-    path = tmp_path / "oddly_named.txt"
-    save_matrix(matrix, path, fmt="csv")
-    assert "(0,-1)" in path.read_text()
+
+
+def test_matrix_format_follows_the_suffix(tmp_path, set3):
+    matrix = mode_status_matrix(bell_array("psi-").run(canonical_inputs(set3, 2)), pset=set3)
+    for name in ("m.txt", "m.CSV", "m"):
+        save_matrix(matrix, tmp_path / name)
+        assert load_matrix(tmp_path / name) == matrix
+    assert json.loads((tmp_path / "m.txt").read_text()) == {"cells": matrix.to_strings()}
+    assert (tmp_path / "m.CSV").read_text().splitlines()[0] == '"(1,0)","(0,1)"'
 
 
 def test_matrix_file_errors(tmp_path):
@@ -139,18 +143,15 @@ def test_matrix_file_errors(tmp_path):
 
 def test_placement_round_trip(tmp_path):
     ref = factoring_reference()
-    for fmt, name in (("json", "p.json"), ("csv", "p.csv")):
+    for name in ("p.json", "p.csv"):
         path = tmp_path / name
-        save_matrix(ref.placement_derived, path, fmt=fmt)
+        save_matrix(ref.placement_derived, path)
         assert load_placement(path) == ref.placement_derived
 
 
 def test_save_matrix_rejects_other_types(tmp_path):
     with pytest.raises(TypeError):
         save_matrix([[0]], tmp_path / "x.json")
-    table = PlacementTable.from_strings([["(1,0)"]])
-    with pytest.raises(ValueError):
-        save_matrix(table, tmp_path / "x.bin", fmt="xml")
 
 
 def test_state_round_trip(tmp_path):
@@ -250,6 +251,14 @@ def test_symbolic_field_round_trip(tmp_path):
     assert loaded.mode0 == sf.mode0 and loaded.mode1 == sf.mode1
     path.write_text(json.dumps({"mode0": [{"pps": 1}], "mode1": []}))
     with pytest.raises(FormatError):
+        load_symbolic_field(path)
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"mode0"', "3"])
+def test_symbolic_field_file_must_be_an_object(tmp_path, text):
+    path = tmp_path / "sym.json"
+    path.write_text(text)
+    with pytest.raises(FormatError, match="bad symbolic field file"):
         load_symbolic_field(path)
 
 

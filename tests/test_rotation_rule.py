@@ -7,6 +7,7 @@ per-element loops the vectorised writers replaced: one rotation per entry
 """
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from ppsim import (
     GroverDatabase,
     PlacementTable,
     ShorInstance,
+    StateTooLargeError,
     SymbolicField,
     build_pps_set,
     grover_search,
@@ -106,10 +108,16 @@ def test_shor_encode_seeded_sample_up_to_511():
     assert _same_encode(ShorInstance(365, 361), pset)
 
 
-def test_shor_encode_register_wider_than_63_bits():
-    pset = build_pps_set(7)
-    assert _same_encode(ShorInstance(15, 7, f_bits=66), pset)
-    assert _same_encode(ShorInstance(21, 2, x_bits=5, f_bits=60), pset)
+def test_shor_encode_refuses_before_enumerating():
+    pset = build_pps_set(6)
+    start = time.perf_counter()
+    # 2 has order 524291 modulo 1048583, past the 42 rotations
+    with pytest.raises(DimensionMismatchError, match="more residue classes"):
+        shor_encode(ShorInstance(1048583, 2), pset)
+    # order 2, but 2**21 arguments of 42 bits pass the MAX_KETS bound
+    with pytest.raises(StateTooLargeError, match="allowed$"):
+        shor_encode(ShorInstance(1048583, 1048582), pset)
+    assert time.perf_counter() - start < 0.5
 
 
 def _items(fields):
@@ -118,11 +126,14 @@ def _items(fields):
 
 def _random_databases(seed=20):
     rng = random.Random(seed)
-    for width in range(1, 21):
+    for width in [*range(1, 21), *range(65, 71)]:
         yield GroverDatabase(width, ())
         for explicit in (False, True):
             count = rng.randint(1, min(1 << width, 3 * width))
-            entries = rng.sample(range(1 << width), count)
+            if width < 63:
+                entries = rng.sample(range(1 << width), count)
+            else:  # sample() needs len(range), which stops at 2**63
+                entries = list({rng.getrandbits(width): None for _ in range(count)})
             rotations = {x: rng.randint(1, width) for x in entries} if explicit else None
             yield GroverDatabase(width, entries, rotations)
 
