@@ -37,11 +37,12 @@ from .sequences import _MAPPING_NAMES, build_pps_set, degree_for
 _SCHEMA_NOTES = """\
 file schemas:
   PPS set (text):    "degree: S" / "polynomial: c0,...,cS" / "mapping: pi|pi/2|FLOAT"
-                     headers, then one comma-separated 0/1 bit row per line
-                     (2**S rows of 2**S bits; row 0 is all zero; spaces or
-                     tabs may surround a token; "#" lines and blank lines
-                     are skipped). The rows must be the family the headers
-                     generate from row 1's first S bits, else exit 3.
+                     / "row1: b0,...,b(2**S-1)" headers; row1 is row 1 as 0/1
+                     bits, comma-separated (spaces or tabs may surround one;
+                     "#" and blank lines are skipped). Legacy files that list
+                     all 2**S rows as lines instead of row1 still load. The
+                     rows listed must be the family the headers generate and
+                     a file may not have both forms, else exit 3.
   field dump (JSON): {"slot_count": N, "fields": [{"mode0": [[re,im],...],
                      "mode1": [[re,im],...]}, ...]}; round-trips bit-exactly.
   matrix (JSON/CSV): grid of cells "0" or "(a,b)" with a,b in {-1,0,1};

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import math
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -72,55 +71,52 @@ def _read_json(path):
 
 def _format_mapping(phase: float) -> str:
     for name, value in _MAPPING_NAMES.items():
-        if math.isclose(phase, value, rel_tol=0, abs_tol=1e-15):
+        if phase == value:
             return name
     return repr(float(phase))
 
 
 def save_pps_set(pset: PpsSet, path) -> None:
-    """Text format: degree/polynomial/mapping headers, then one bit row per line."""
-    header = "\n".join(
-        [
-            f"degree: {pset.degree}",
-            "polynomial: " + ",".join(str(int(c)) for c in pset.polynomial),
-            "mapping: " + _format_mapping(pset.mapping_phase),
-        ]
-    )
-    # each row is its N digits at even offsets, a comma or the newline after each
-    n = pset.length
-    body = np.full((n, 2 * n), ord(","), dtype=np.uint8)
-    np.add(pset.bit_rows, ord("0"), out=body[:, 0::2], casting="unsafe")
-    body[:, -1] = ord("\n")
-    with open(path, "wb") as out:
-        out.write(header.encode("utf-8") + b"\n")
-        out.write(body)
+    """Text format: degree, polynomial, mapping and row1 headers, no row lines.
+
+    Row 1 and the polynomial fix every row of a family that build_pps_set makes,
+    so the file is O(N), not N**2 bits; it keeps no other rows of a hand-made set."""
+    lines = [
+        f"degree: {pset.degree}",
+        "polynomial: " + ",".join(str(int(c)) for c in pset.polynomial),
+        "mapping: " + _format_mapping(pset.mapping_phase),
+        "row1: " + ",".join(map(str, pset.bit_rows[1].tolist())),
+    ]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
-def _parse_bit_rows(row_lines: list[str], n: int, path) -> np.ndarray:
-    """(n, n) uint8 bits from n lines of n comma-separated 0/1 tokens.
+def _parse_bit_rows(row_lines: list[str], k: int, n: int, path) -> np.ndarray:
+    """(k, n) uint8 bits from k lines of n comma-separated 0/1 tokens.
 
     Spaces and tabs around a token are ignored; any other token is an error.
     """
     widths = [line.count(",") + 1 for line in row_lines]
-    if len(row_lines) != n or set(widths) != {n}:
+    if len(row_lines) != k or set(widths) != {n}:
         raise FormatError(
-            f"{path}: expected {n} rows of {n} bits, got {len(row_lines)} rows of "
+            f"{path}: expected {k} rows of {n} bits, got {len(row_lines)} rows of "
             f"{min(widths, default=0)}..{max(widths, default=0)} bits"
         )
-    # one buffer of n * n (token, comma) byte pairs
+    # one buffer of k * n (token, comma) byte pairs
     chars = np.frombuffer(",".join(row_lines + [""]).encode("utf-8"), dtype=np.uint8)
-    if chars.size != 2 * n * n:
+    if chars.size != 2 * k * n:
         chars = chars[(chars != ord(" ")) & (chars != ord("\t"))]
-    if chars.size == 2 * n * n:
-        pairs = chars.reshape(n * n, 2)
+    if chars.size == 2 * k * n:
+        pairs = chars.reshape(k * n, 2)
         bits = pairs[:, 0] - ord("0")  # wraps any other byte past 1
         if not ((bits > 1).any() or (pairs[:, 1] != ord(",")).any()):
-            return bits.reshape(n, n)
+            return bits.reshape(k, n)
     raise FormatError(f"{path}: bit rows must contain only 0 and 1")
 
 
 def load_pps_set(path) -> PpsSet:
-    """Read a PPS set file; its rows must be the family its headers generate."""
+    """Read a PPS set file; the rows it lists must be the family its headers generate.
+
+    It lists row 1 in a `row1` header, or all 2**S rows as row lines (legacy)."""
     text = _read_text(path)
     header: dict[str, str] = {}
     row_lines: list[str] = []
@@ -133,7 +129,7 @@ def load_pps_set(path) -> PpsSet:
             header[key.strip().lower()] = value.strip()
         else:
             row_lines.append(line)
-    del text  # at degree 12 the text and the row lines are 33 MB each
+    del text  # a legacy degree-12 file's text and row lines are 33 MB each
     with _malformed(path, "bad PPS set file", (KeyError, ValueError)):
         degree = int(header["degree"])
         polynomial = tuple(int(t) for t in header["polynomial"].split(","))
@@ -145,11 +141,17 @@ def load_pps_set(path) -> PpsSet:
             f"{path}: degree {degree} needs {degree + 1} polynomial coefficients, "
             f"got {len(polynomial)}"
         )
-    rows = _parse_bit_rows(row_lines, 1 << degree, path)
+    if "row1" not in header:  # legacy: the rows are 0..N-1
+        rows, first = _parse_bit_rows(row_lines, 1 << degree, 1 << degree, path), 0
+    elif row_lines:
+        raise FormatError(f"{path}: a row1 header and row lines cannot both be given")
+    else:
+        rows, first = _parse_bit_rows([header["row1"]], 1, 1 << degree, path), 1
     del row_lines
     with _malformed(path, "rows are not a PPS family", (SimulationError, ValueError)):
-        family = build_pps_set(degree, polynomial, mapping, seed=tuple(rows[1, :degree]))
-    if not np.array_equal(family.bit_rows, rows):
+        seed = tuple(rows[1 - first, :degree])  # row 1's first S bits
+        family = build_pps_set(degree, polynomial, mapping, seed=seed)
+    if not np.array_equal(family.bit_rows[first : first + len(rows)], rows):
         raise FormatError(
             f"{path}: rows differ from the family that the headers and row 1 generate"
         )

@@ -57,8 +57,6 @@ class FactoringReference:
 
     modulus: int
     base: int
-    x_bits: int
-    f_bits: int
     degree: int
     period: int
     factors: tuple[int, int]
@@ -73,8 +71,6 @@ def factoring_reference():
     return FactoringReference(
         modulus=data["modulus"],
         base=data["base"],
-        x_bits=data["x_bits"],
-        f_bits=data["f_bits"],
         degree=data["degree"],
         period=data["period"],
         factors=tuple(data["factors"]),

@@ -55,7 +55,8 @@ PRIMITIVE_POLYNOMIALS: dict[int, tuple[int, ...]] = {
 def _poly_taps(polynomial: tuple[int, ...]) -> tuple[int, int]:
     """Validate an ascending coefficient list; return (degree, tap mask)."""
     coeffs = tuple(int(c) for c in polynomial)
-    if any(c not in (0, 1) for c in coeffs):
+    # int() truncates 1.5 to 1, so a coefficient it changed is not 0 or 1
+    if coeffs != polynomial or any(c not in (0, 1) for c in coeffs):
         raise ValueError("polynomial coefficients must be 0 or 1")
     degree = len(coeffs) - 1
     if degree < 2 or coeffs[0] != 1 or coeffs[-1] != 1:
@@ -83,13 +84,12 @@ def generate_m_sequence(
     s, mask = _poly_taps(tuple(polynomial))
     if degree is not None and degree != s:
         raise ValueError(f"polynomial degree {s} does not match degree={degree}")
-    if seed is None:
-        seed = (1,) * s
-    seed = tuple(int(b) for b in seed)
-    if len(seed) != s or any(b not in (0, 1) for b in seed):
+    seed = (1,) * s if seed is None else tuple(seed)
+    bits = tuple(int(b) for b in seed)
+    if bits != seed or len(bits) != s or any(b not in (0, 1) for b in bits):
         raise ValueError(f"seed must be {s} bits")
     state = 0
-    for t, b in enumerate(seed):  # bit t of state is output bit t
+    for t, b in enumerate(bits):  # bit t of state is output bit t
         state |= b << t
     if state == 0:
         raise DegenerateStateError("degenerate LFSR state")

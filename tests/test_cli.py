@@ -352,6 +352,19 @@ def test_demod_bad_pps_file_is_format_error(tmp_path, header, rows):
     assert proc.stderr.startswith("error:")
 
 
+def test_demod_row1_with_row_lines_is_format_error(tmp_path, set3):
+    fields = tmp_path / "fields.json"
+    save_fields(canonical_inputs(set3, 2), fields)
+    bad = tmp_path / "both.pps"
+    save_pps_set(set3, bad)
+    rows = "".join(",".join(map(str, row)) + "\n" for row in set3.bit_rows.tolist())
+    bad.write_text(bad.read_text() + rows)
+    proc = run_cli("demod", "--fields", fields, "--pps", bad)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error:") and "row1 header and row lines" in proc.stderr
+    assert not proc.stdout
+
+
 @pytest.mark.parametrize("mapping", ["nan", "inf", "-inf"])
 def test_demod_nonfinite_mapping_is_format_error(tmp_path, mapping):
     fields = tmp_path / "fields.json"

@@ -60,6 +60,14 @@ def test_pps_set_half_pi_and_float_mappings(tmp_path):
         assert load_pps_set(path).mapping_phase == pset.mapping_phase
 
 
+def test_pps_set_mapping_names_only_exact_values(tmp_path):
+    phase = float(np.nextafter(np.pi, 4))
+    path = tmp_path / "m.pps"
+    save_pps_set(build_pps_set(3, mapping_phase=phase), path)
+    assert f"mapping: {phase!r}\n" in path.read_text()
+    assert load_pps_set(path).mapping_phase == phase
+
+
 def test_pps_set_comments_and_blanks(tmp_path, set3):
     path = tmp_path / "set.pps"
     save_pps_set(set3, path)

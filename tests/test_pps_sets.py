@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ppsim import (
     HALF_PI,
@@ -29,12 +31,23 @@ from ppsim import (
 MAPPINGS = [(PI, "pi"), (HALF_PI, "pi/2"), (0.75, "0.75")]
 
 
-def _reference_text(pset, mapping_text):
-    lines = [
+def _header_lines(pset, mapping_text):
+    return [
         f"degree: {pset.degree}",
         "polynomial: " + ",".join(str(int(c)) for c in pset.polynomial),
         "mapping: " + mapping_text,
     ]
+
+
+def _row1_text(pset, mapping_text):
+    """The four-header file: the three headers plus row 1, no row lines."""
+    row1 = "row1: " + ",".join(str(int(b)) for b in pset.bit_rows[1])
+    return "\n".join(_header_lines(pset, mapping_text) + [row1]) + "\n"
+
+
+def _reference_text(pset, mapping_text):
+    """The legacy file: the three headers, then every bit row."""
+    lines = _header_lines(pset, mapping_text)
     lines += [",".join(str(int(b)) for b in row) for row in pset.bit_rows]
     return "\n".join(lines) + "\n"
 
@@ -62,7 +75,12 @@ def test_save_matches_per_bit_writer(tmp_path, mapping, mapping_text):
     for degree in range(2, 9):
         pset = build_pps_set(degree, mapping_phase=mapping)
         save_pps_set(pset, path)
-        assert path.read_bytes() == _reference_text(pset, mapping_text).encode()
+        assert path.read_bytes() == _row1_text(pset, mapping_text).encode()
+        path.write_text(_reference_text(pset, mapping_text))
+        legacy = load_pps_set(path)
+        assert np.array_equal(legacy.bit_rows, pset.bit_rows)
+        assert (legacy.degree, legacy.polynomial) == (pset.degree, pset.polynomial)
+        assert legacy.mapping_phase == pset.mapping_phase
 
 
 @pytest.mark.parametrize("mapping, mapping_text", MAPPINGS)
@@ -225,8 +243,7 @@ def test_load_rejects_rows_outside_the_family(tmp_path, set3):
     _write_set(path, 2, "1,1,1", ["0,0,0,0"] + ["1,1,0,0"] * 3)
     with pytest.raises(FormatError, match="differ from the family"):
         load_pps_set(path)
-    save_pps_set(set3, path)
-    lines = path.read_text().splitlines()
+    lines = _reference_text(set3, "pi").splitlines()
     lines[3 + 5] = lines[3 + 5].replace("0", "1", 1)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match="differ from the family"):
@@ -260,3 +277,64 @@ def test_load_checks_shape_before_tokens(tmp_path):
     _write_set(path, 2, "1,1,1", ["0,0,0,0", "1,1,0", "1,0,1,0", "x,1,1,0"])
     with pytest.raises(FormatError, match="expected 4 rows of 4 bits, got 4 rows of 3..4"):
         load_pps_set(path)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    degree=st.integers(2, 12),
+    window=st.integers(0, 1 << 12),
+    mapping=st.sampled_from([PI, HALF_PI, 0.75, float(np.nextafter(PI, 4))]),
+)
+def test_round_trip_is_exact(tmp_path_factory, degree, window, mapping):
+    window = window % ((1 << degree) - 1) + 1  # a nonzero seed
+    seed = tuple((window >> t) & 1 for t in range(degree))
+    pset = build_pps_set(degree, mapping_phase=mapping, seed=seed)
+    path = tmp_path_factory.mktemp("round") / "set.pps"
+    save_pps_set(pset, path)
+    loaded = load_pps_set(path)
+    assert loaded.bit_rows.dtype == pset.bit_rows.dtype
+    assert loaded.bit_rows.tobytes() == pset.bit_rows.tobytes()
+    assert (loaded.degree, loaded.polynomial) == (pset.degree, pset.polynomial)
+    assert loaded.mapping_phase == mapping
+
+
+def test_degree12_file_holds_no_rows(tmp_path):
+    path = tmp_path / "set12.pps"
+    save_pps_set(build_pps_set(12), path)
+    assert path.stat().st_size < 10_000
+
+
+def test_load_rejects_row1_with_row_lines(tmp_path, set3):
+    path = tmp_path / "both.pps"
+    rows = _reference_text(set3, "pi").splitlines(keepends=True)[3:]
+    path.write_text(_row1_text(set3, "pi") + "".join(rows))
+    with pytest.raises(FormatError, match="row1 header and row lines"):
+        load_pps_set(path)
+
+
+@pytest.mark.parametrize(
+    "row1, match",
+    [
+        ("1,1,1,0,1,0,0", "expected 1 rows of 8 bits, got 1 rows of 7..7"),
+        ("1,1,1,0,1,0,0,0,0", "expected 1 rows of 8 bits, got 1 rows of 9..9"),
+        ("", "expected 1 rows of 8 bits"),
+        ("1,1,1,0,1,0,x,0", "only 0 and 1"),
+    ],
+)
+def test_load_rejects_a_malformed_row1(tmp_path, set3, row1, match):
+    path = tmp_path / "bad.pps"
+    path.write_text("\n".join(_header_lines(set3, "pi") + ["row1: " + row1]) + "\n")
+    with pytest.raises(FormatError, match=match):
+        load_pps_set(path)
+
+
+def test_load_rejects_a_row1_outside_the_family(tmp_path):
+    pset = build_pps_set(4)
+    path = tmp_path / "bad.pps"
+    for t in range(pset.degree, pset.length):  # past the seed, padding unit included
+        bits = pset.bit_rows[1].copy()
+        bits[t] ^= 1
+        row1 = "row1: " + ",".join(map(str, bits.tolist()))
+        path.write_text("\n".join(_header_lines(pset, "pi") + [row1]) + "\n")
+        with pytest.raises(FormatError, match="differ from the family"):
+            load_pps_set(path)

@@ -76,6 +76,19 @@ def test_polynomial_validation():
         build_pps_set(40)  # no built-in polynomial that large
 
 
+@pytest.mark.parametrize("bad", [1.5, 0.5, np.float32(1.25), "1"])
+def test_lfsr_inputs_are_bits_not_truncated(bad):
+    with pytest.raises(ValueError, match="coefficients must be 0 or 1"):
+        generate_m_sequence((1, 1, 0, bad))
+    with pytest.raises(ValueError, match="seed must be 3 bits"):
+        build_pps_set(3, seed=(bad, 0, 1))
+    # integral values of other types are the same bits
+    poly = (1.0, np.uint8(1), 0, True)
+    assert generate_m_sequence(poly, seed=(1.0, 0, np.int64(1))) == generate_m_sequence(
+        (1, 1, 0, 1), seed=(1, 0, 1)
+    )
+
+
 def test_set_structure(set3):
     n = set3.length
     assert n == 8 and set3.usable_count == 7
