@@ -93,7 +93,8 @@ class SignGrid:
     """(n, m, 2) int8 grid of sign pairs; cell (i, j) is (a, b), 1-based.
 
     Entries are -1, 0 or +1; (0, 0) is an empty cell. Grids of the same
-    class compare equal when their shapes and signs agree.
+    class compare equal when their shapes and signs agree. The grid owns its
+    cells and they are read-only, so what is read off them can be kept.
     """
 
     cells: np.ndarray
@@ -107,6 +108,7 @@ class SignGrid:
         if not np.all(np.isin(arr, (-1, 0, 1))):
             raise ValueError("cell entries must be -1, 0, or +1")
         self.cells = arr.astype(np.int8)
+        self.cells.flags.writeable = False
 
     def cell(self, i: int, j: int) -> tuple[int, int]:
         """Sign pair for row i, column j (both 1-based)."""

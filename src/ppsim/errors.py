@@ -46,7 +46,8 @@ class StateTooLargeError(SimulationError):
 
 
 class FormatError(SimulationError):
-    """A serialized artifact could not be parsed."""
+    """A serialized artifact could not be parsed, or a value cannot be
+    written in its format."""
 
 
 def _as_int(value) -> int:

@@ -80,7 +80,21 @@ def save_pps_set(pset: PpsSet, path) -> None:
     """Text format: degree, polynomial, mapping and row1 headers, no row lines.
 
     Row 1 and the polynomial fix every row of a family that build_pps_set makes,
-    so the file is O(N), not N**2 bits; it keeps no other rows of a hand-made set."""
+    so the file is O(N), not N**2 bits. A set whose rows are not that family
+    would load back as another set: it raises FormatError, and nothing is written."""
+    errors = (SimulationError, ValueError, IndexError)
+    with _malformed(path, "rows are not a PPS family", errors):
+        seed = tuple(pset.bit_rows[1, : pset.degree])
+        family = build_pps_set(pset.degree, pset.polynomial, pset.mapping_phase, seed)
+    rows, expect = pset.bit_rows, family.bit_rows
+    if rows.dtype == expect.dtype and rows.shape == expect.shape:
+        # N**2 is a multiple of 8: compare eight units to a word
+        rows = np.ascontiguousarray(rows).reshape(-1).view(np.uint64)
+        expect = expect.reshape(-1).view(np.uint64)
+    if not np.array_equal(expect, rows):
+        raise FormatError(
+            f"{path}: rows differ from the family that the headers and row 1 generate"
+        )
     lines = [
         f"degree: {pset.degree}",
         "polynomial: " + ",".join(str(int(c)) for c in pset.polynomial),

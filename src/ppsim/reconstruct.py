@@ -10,16 +10,18 @@ sampling, search and the factoring period.
 
 The usable diagonals expand to 0/1 digit rows in whole-array steps
 (`_expand`): the rotations with no both-mode cell form one block, and each
-rotation with k both-mode cells adds a block of 2**k rows. Only a state's
-`terms` spell the rows as labels (`_spell`). A state of more than
-`MAX_KETS` kets raises StateTooLargeError before anything is allocated.
+rotation with k both-mode cells adds a block of 2**k rows. Each row packs
+into one label (`_pack`) whose order is ket order; duplicate labels are
+summed by one sort. Only a state's `terms` spell the labels as strings
+(`_spell`). A state of more than `MAX_KETS` kets raises StateTooLargeError
+before anything is allocated. A grid's cells are read-only, so the read of
+its diagonals is kept on the grid and sampling reads them once per grid.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,22 +42,19 @@ def rotation_columns(n: int, rotations) -> np.ndarray:
     return (np.arange(n)[:, None] + np.asarray(rotations, dtype=np.int64) - 1) % n
 
 
-@dataclass
 class SimulatedState:
     """Integer-coefficient superposition over n-digit binary kets.
 
     Coefficients are reduced by their greatest common factor on
-    construction (signs are kept), so equal states compare equal.
+    construction (signs are kept), so equal states compare equal. A state
+    that `reconstruct` returns holds packed labels and int64 coefficients;
+    its `terms` are spelled on first access and kept.
     """
 
-    width: int
-    terms: dict[str, int]
-
-    def __post_init__(self):
-        self.width = _as_int(self.width)
+    def __init__(self, width: int, terms: dict[str, int]):
+        self.width = _as_int(width)
         if self.width < 0:
             raise ValueError(f"ket width must be nonnegative, got {self.width}")
-        terms = self.terms
         labels, coeffs = terms.keys(), terms.values()
         if (
             set(map(type, labels)) <= {str}
@@ -82,13 +81,33 @@ class SimulatedState:
             terms = cleaned
         common = math.gcd(*terms.values())
         if common == 1 and list(terms) == sorted(terms):
-            self.terms = dict(terms)
+            self._terms = dict(terms)
         else:
-            self.terms = {bits: c // common for bits, c in sorted(terms.items())}
+            self._terms = {bits: c // common for bits, c in sorted(terms.items())}
+
+    @classmethod
+    def _packed(cls, width: int, labels: np.ndarray, coeffs: np.ndarray):
+        """A state of ascending distinct `_pack` labels and their reduced,
+        nonzero int64 coefficients, none of them checked again."""
+        state = cls.__new__(cls)
+        state.width, state._terms = width, None
+        state._labels, state._coeffs = labels, coeffs
+        return state
+
+    @property
+    def terms(self) -> dict[str, int]:
+        """Ket label -> coefficient, in ascending label order."""
+        if self._terms is None:
+            labels = self._labels
+            packed = labels.view(np.uint8).reshape(len(labels), labels.itemsize)
+            labels = _spell(np.unpackbits(packed, axis=1, count=self.width))
+            self._terms = dict(zip(labels, self._coeffs.tolist()))
+            self._labels = self._coeffs = None
+        return self._terms
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not (self._terms if self._terms is not None else len(self._coeffs))
 
     def coefficient(self, bits: str) -> int:
         return self.terms.get(bits, 0)
@@ -102,11 +121,40 @@ class SimulatedState:
             text += f"|{bits}>" if abs(coeff) == 1 else f"{abs(coeff)}|{bits}>"
         return text or "0"
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.width, self.terms) == (other.width, other.terms)
 
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(width={self.width!r}, terms={self.terms!r})"
+
+
+def _kept(read):
+    """`read(grid)`, kept on the grid for as long as its cells are the same
+    read-only array; SignGrid makes them read-only, so it cannot go stale."""
+    name = f"_kept{read.__name__}"
+
+    @functools.wraps(read)
+    def kept_read(grid: SignGrid):
+        cells = grid.cells
+        kept = vars(grid).get(name)
+        if kept is not None and kept[0] is cells and not cells.flags.writeable:
+            return kept[1]
+        value = read(grid)
+        if not cells.flags.writeable:
+            setattr(grid, name, (cells, value))
+        return value
+
+    return kept_read
+
+
+@_kept
 def _usable(grid: SignGrid) -> tuple[np.ndarray, np.ndarray]:
     """Usable rotations r (1-based, ascending) and their (R, n, 2) sign pairs:
     [k, i] is what rotation rotations[k] reads on field i. All n diagonals
-    are gathered in one step through `rotation_columns`."""
+    are gathered in one step through `rotation_columns`; the arrays are
+    read-only, as they are kept on the grid."""
     n, m = grid.cells.shape[:2]
     if n != m:
         raise DimensionMismatchError(f"matrix is {n}x{m}, rotations need a square grid")
@@ -114,7 +162,10 @@ def _usable(grid: SignGrid) -> tuple[np.ndarray, np.ndarray]:
     diagonals = grid.cells[np.arange(n), rotation_columns(n, rotations).T]
     # a | b is nonzero exactly when the cell is not empty
     usable = (diagonals[..., 0] | diagonals[..., 1]).all(axis=1)
-    return rotations[usable], diagonals[usable]
+    read = rotations[usable], diagonals[usable]
+    for arr in read:
+        arr.flags.writeable = False
+    return read
 
 
 def _expand(diagonals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,6 +210,18 @@ def _expand(diagonals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return digits, np.concatenate(coeffs)
 
 
+def _pack(digits: np.ndarray) -> np.ndarray:
+    """(K,) labels of (K, n) 0/1 digit rows, the first digit most significant,
+    so that label order is ket order: big-endian uint64 for n <= 64, and the
+    np.packbits byte rows, compared as bytes, above."""
+    packed = np.packbits(digits, axis=1)
+    if digits.shape[1] > 64:
+        return packed.view(f"V{packed.shape[1]}").ravel()
+    wide = np.zeros((len(packed), 8), dtype=np.uint8)
+    wide[:, : packed.shape[1]] = packed
+    return wide.view(">u8").ravel()
+
+
 def _spell(digits: np.ndarray) -> list[str]:
     """Ket labels of (K, n) 0/1 digit rows, from one decode of an ASCII
     buffer whose rows end in a newline."""
@@ -170,26 +233,42 @@ def _spell(digits: np.ndarray) -> list[str]:
 
 def usable_rotations(grid: SignGrid) -> np.ndarray:
     """Rotations r (1-based, ascending) whose cyclic diagonal has no empty cell."""
-    return _usable(grid)[0]
+    return _usable(grid)[0].copy()
 
 
 def reconstruct(matrix: SignGrid) -> SimulatedState:
     """Sum the product terms of the usable rotations of a square sign grid.
 
     Field i of a rotation contributes the factor (a|0> + b|1>) read from its
-    rotated status; all usable rotations expand together, by `_expand`.
-    Raises StateTooLargeError when they expand to more than MAX_KETS kets.
+    rotated status; all usable rotations expand together, by `_expand`, and
+    their kets are packed into labels. Kets of one rotation are distinct and
+    ascending; those of several are summed by one sort, zero sums are
+    dropped and the rest divided by their gcd. Raises StateTooLargeError
+    when the rotations expand to more than MAX_KETS kets.
     """
     diagonals = _usable(matrix)[1]
     digits, coeffs = _expand(diagonals)
-    labels, coeffs = _spell(digits), coeffs.tolist()
+    labels = _pack(digits)
+    del digits
     if len(diagonals) > 1:
-        terms = Counter()
-        for bits, coeff in zip(labels, coeffs):
-            terms[bits] += coeff
-    else:
-        terms = dict(zip(labels, coeffs))
-    return SimulatedState(matrix.cells.shape[0], terms)
+        labels, inverse = np.unique(labels, return_inverse=True)
+        # each ket's coefficient is +-1, so every sum is exact in float64
+        coeffs = np.bincount(inverse, weights=coeffs, minlength=len(labels))
+        nonzero = coeffs != 0
+        labels, coeffs = labels[nonzero], coeffs[nonzero].astype(np.int64)
+        if len(coeffs):
+            coeffs //= np.gcd.reduce(coeffs)
+    return SimulatedState._packed(matrix.cells.shape[0], labels, coeffs)
+
+
+@_kept
+def _draw_table(grid: SignGrid) -> list[tuple[str, list[int]]]:
+    """Per usable rotation: its label with every single-mode digit set, and
+    the fields (ascending) whose both-mode cell a fair coin resolves."""
+    diagonals = _usable(grid)[1]
+    labels = _spell((diagonals[..., 0] == 0).astype(np.uint8))
+    both = (diagonals[..., 0] != 0) & (diagonals[..., 1] != 0)
+    return [(label, np.flatnonzero(row).tolist()) for label, row in zip(labels, both)]
 
 
 def sample_measurement(
@@ -203,13 +282,11 @@ def sample_measurement(
     Raises UnrepresentableStateError when every rotation has a hole.
     """
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    diagonals = _usable(matrix)[1]
-    if not len(diagonals):
+    table = _draw_table(matrix)
+    if not table:
         raise UnrepresentableStateError("unrepresentable state")
-    digits = []
-    for a, b in diagonals[int(gen.integers(len(diagonals)))].tolist():
-        if a != 0 and b != 0:
-            digits.append("01"[int(gen.integers(2))])
-        else:
-            digits.append("0" if a != 0 else "1")
+    label, coins = table[int(gen.integers(len(table)))]
+    digits = list(label)
+    for i in coins:
+        digits[i] = "01"[int(gen.integers(2))]
     return "".join(digits)

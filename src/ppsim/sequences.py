@@ -52,12 +52,22 @@ PRIMITIVE_POLYNOMIALS: dict[int, tuple[int, ...]] = {
 }
 
 
+def _bits(values: tuple, message: str) -> tuple[int, ...]:
+    """`values` as 0/1 ints; any other value, 1.5, inf or NaN among them,
+    raises ValueError(message)."""
+    try:
+        bits = tuple(int(v) for v in values)
+    except (OverflowError, ValueError):  # inf, NaN
+        raise ValueError(message) from None
+    # int() truncates 1.5 to 1, so a value it changed is not 0 or 1
+    if bits != values or any(b not in (0, 1) for b in bits):
+        raise ValueError(message)
+    return bits
+
+
 def _poly_taps(polynomial: tuple[int, ...]) -> tuple[int, int]:
     """Validate an ascending coefficient list; return (degree, tap mask)."""
-    coeffs = tuple(int(c) for c in polynomial)
-    # int() truncates 1.5 to 1, so a coefficient it changed is not 0 or 1
-    if coeffs != polynomial or any(c not in (0, 1) for c in coeffs):
-        raise ValueError("polynomial coefficients must be 0 or 1")
+    coeffs = _bits(polynomial, "polynomial coefficients must be 0 or 1")
     degree = len(coeffs) - 1
     if degree < 2 or coeffs[0] != 1 or coeffs[-1] != 1:
         raise ValueError("polynomial must have degree >= 2 with c0 = cs = 1")
@@ -84,9 +94,8 @@ def generate_m_sequence(
     s, mask = _poly_taps(tuple(polynomial))
     if degree is not None and degree != s:
         raise ValueError(f"polynomial degree {s} does not match degree={degree}")
-    seed = (1,) * s if seed is None else tuple(seed)
-    bits = tuple(int(b) for b in seed)
-    if bits != seed or len(bits) != s or any(b not in (0, 1) for b in bits):
+    bits = _bits((1,) * s if seed is None else tuple(seed), f"seed must be {s} bits")
+    if len(bits) != s:
         raise ValueError(f"seed must be {s} bits")
     state = 0
     for t, b in enumerate(bits):  # bit t of state is output bit t

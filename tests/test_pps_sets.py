@@ -250,6 +250,30 @@ def test_load_rejects_rows_outside_the_family(tmp_path, set3):
         load_pps_set(path)
 
 
+def test_save_refuses_rows_that_are_not_the_family(tmp_path, set3):
+    # the file would hold row 1 only, and load back as the built family
+    path = tmp_path / "set.pps"
+    order = np.random.default_rng(5).permutation(np.arange(2, set3.length))
+    permuted = set3.bit_rows.copy()
+    permuted[2:] = set3.bit_rows[order]
+    flipped = set3.bit_rows.copy()
+    flipped[5, 6] ^= 1
+    for rows in (permuted, flipped):
+        with pytest.raises(FormatError, match="rows differ from the family"):
+            save_pps_set(PpsSet(3, set3.polynomial, PI, rows), path)
+        assert not path.exists()
+    # the family in another dtype or memory order still saves
+    for rows in (set3.bit_rows.astype(np.int64), np.asfortranarray(set3.bit_rows)):
+        save_pps_set(PpsSet(3, set3.polynomial, PI, rows), path)
+        assert np.array_equal(load_pps_set(path).bit_rows, set3.bit_rows)
+    path.unlink()
+    zero_window = set3.bit_rows.copy()
+    zero_window[1] = 0
+    with pytest.raises(FormatError, match="not a PPS family.*degenerate"):
+        save_pps_set(PpsSet(3, set3.polynomial, PI, zero_window), path)
+    assert not path.exists()
+
+
 def test_load_maps_register_errors(tmp_path):
     path = tmp_path / "bad.pps"
     _write_set(path, 2, "1,1,1", ["0,0,0,0"] * 4)

@@ -1,4 +1,6 @@
 """State reconstruction from mode-status matrices and measurement sampling."""
+import importlib
+import math
 import re
 import time
 import tracemalloc
@@ -6,6 +8,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ppsim import (
     DimensionMismatchError,
@@ -17,8 +21,11 @@ from ppsim import (
     reconstruct,
     sample_measurement,
     typical_state,
+    usable_rotations,
 )
 from ppsim.fixtures import factoring_reference, typical_reference
+
+reconstruct_module = importlib.import_module("ppsim.reconstruct")
 
 
 def _matrix(rows):
@@ -206,3 +213,165 @@ def test_sampling_unrepresentable():
 def test_sampling_requires_square():
     with pytest.raises(DimensionMismatchError):
         sample_measurement(_matrix([[(1, 0), (0, 1), (1, 1)]]), 0)
+
+
+def _reference_terms(cells: list) -> list[tuple[str, int]]:
+    """Plain per-rotation expansion: each rotation with no empty cell adds the
+    product of its (a|0> + b|1>) factors; zero sums are dropped and the rest
+    divided by their gcd, in ascending label order."""
+    n = len(cells)
+    sums: dict[str, int] = {}
+    for r in range(1, n + 1):
+        pairs = [cells[i][(i + r - 1) % n] for i in range(n)]
+        if not all(a or b for a, b in pairs):
+            continue
+        kets = {"": 1}
+        for a, b in pairs:
+            factor = (("0", a), ("1", b))
+            kets = {k + d: c * s for k, c in kets.items() for d, s in factor if s}
+        for bits, coeff in kets.items():
+            sums[bits] = sums.get(bits, 0) + coeff
+    common = math.gcd(*sums.values())
+    return [(bits, c // common) for bits, c in sorted(sums.items()) if c]
+
+
+def _reference_draw(cells: list, gen: np.random.Generator) -> str:
+    """The per-draw loop that sampling ran before it kept its read of the
+    grid: list the usable rotations, pick one, then resolve field by field."""
+    n = len(cells)
+    rotations = [[cells[i][(i + r - 1) % n] for i in range(n)] for r in range(1, n + 1)]
+    usable = [pairs for pairs in rotations if all(a or b for a, b in pairs)]
+    if not usable:
+        raise UnrepresentableStateError("unrepresentable state")
+    digits = []
+    for a, b in usable[int(gen.integers(len(usable)))]:
+        if a != 0 and b != 0:
+            digits.append("01"[int(gen.integers(2))])
+        else:
+            digits.append("0" if a != 0 else "1")
+    return "".join(digits)
+
+
+@st.composite
+def _sign_cells(draw):
+    """(n, n) nested lists of sign pairs, n = 1..8, with or without -1."""
+    n = draw(st.integers(1, 8))
+    signs = (-1, 1) if draw(st.booleans()) else (1,)
+    cell = st.sampled_from(
+        [(0, 0)] + [(s, 0) for s in signs] + [(0, s) for s in signs]
+        + [(a, b) for a in signs for b in signs]
+    )
+    return [[draw(cell) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sign_cells())
+@example([[(1, 0), (-1, 0)], [(1, 0), (1, 0)]])  # the two rotations cancel to zero
+@example([[(1, 1), (1, 1)], [(1, 1), (1, 1)]])  # every ket twice: divided by 2
+@example([[(1, -1), (-1, 0)], [(1, 0), (1, 1)]])  # |00> cancels, three kets remain
+def test_reconstruct_matches_per_rotation_expansion(cells):
+    state = reconstruct(_matrix(cells))
+    expected = _reference_terms(cells)
+    assert list(state.terms.items()) == expected
+    assert state.is_zero == (not expected)
+    assert state == SimulatedState(len(cells), dict(expected))
+
+
+def _wide_cells(n: int, seed: int) -> list:
+    """An n-field grid with four usable rotations, three sharing most fields
+    so that their kets coincide, and four both-mode cells on each."""
+    rng = np.random.default_rng(seed)
+    cells = np.zeros((n, n, 2), dtype=np.int8)
+    rows = np.arange(n)
+    shared = None
+    for r in (0, 3, 7, 11):
+        diag = np.zeros((n, 2), dtype=np.int8)
+        diag[rows, rng.integers(0, 2, n)] = rng.choice([-1, 1], size=n)
+        if shared is None:
+            shared = diag
+        elif r != 11:
+            diag[: n - 5] = shared[: n - 5]
+        diag[rng.choice(n, size=4, replace=False)] = rng.choice([-1, 1], size=(4, 2))
+        cells[rows, (rows + r) % n] = diag
+    return cells.tolist()
+
+
+@pytest.mark.parametrize("n", [64, 65, 70])
+def test_reconstruct_wide_grids_match_per_rotation_expansion(n):
+    # above 64 fields the labels are byte rows rather than one uint64
+    cells = _wide_cells(n, n)
+    state = reconstruct(_matrix(cells))
+    expected = _reference_terms(cells)
+    assert len(expected) > 16  # rotations overlap, yet more than one block remains
+    assert list(state.terms.items()) == expected
+    gen, ref_gen = np.random.default_rng(n), np.random.default_rng(n)
+    draws = [sample_measurement(_matrix(cells), gen) for _ in range(50)]
+    assert draws == [_reference_draw(cells, ref_gen) for _ in range(50)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_sign_cells(), st.integers(0, 2**32 - 1))
+def test_sampling_matches_the_per_draw_loop(cells, seed):
+    matrix = _matrix(cells)
+    gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+    try:
+        expected = [_reference_draw(cells, ref_gen) for _ in range(12)]
+    except UnrepresentableStateError:
+        with pytest.raises(UnrepresentableStateError):
+            sample_measurement(matrix, gen)
+        return
+    assert [sample_measurement(matrix, gen) for _ in range(12)] == expected
+    # and the generator was consumed exactly as the loop consumed it
+    assert gen.integers(1 << 62) == ref_gen.integers(1 << 62)
+
+
+def test_sampling_typical_states_match_the_per_draw_loop():
+    pset = build_pps_set(6)
+    for kind, n in (("ghz", 63), ("w", 40), ("product", 12), ("ghz", 5)):
+        matrix = typical_state(kind, pset, n).matrix
+        cells = matrix.cells.tolist()
+        for seed in (0, 7, 123):
+            gen, ref_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+            draws = [sample_measurement(matrix, gen) for _ in range(40)]
+            assert draws == [_reference_draw(cells, ref_gen) for _ in range(40)]
+
+
+def test_grid_cells_are_read_only():
+    matrix = _matrix([[(1, 0), (0, 0)], [(0, 0), (0, 1)]])
+    with pytest.raises(ValueError, match="read-only"):
+        matrix.cells[0, 1] = (1, 1)
+    with pytest.raises(ValueError, match="read-only"):
+        matrix.cells.fill(0)
+    assert reconstruct(matrix).terms == {"01": 1}
+
+
+def test_a_grid_is_read_once(monkeypatch):
+    reads = []
+    columns = reconstruct_module.rotation_columns
+
+    def counted(*args):
+        reads.append(args)
+        return columns(*args)
+
+    monkeypatch.setattr(reconstruct_module, "rotation_columns", counted)
+    matrix = typical_reference("w3").matrix
+    matrix = ModeStatusMatrix(matrix.cells, matrix.raw)  # a grid no test has read
+    gen = np.random.default_rng(2)
+    draws = {sample_measurement(matrix, gen) for _ in range(100)}
+    assert draws == {"100", "010", "001"}
+    assert reconstruct(matrix).terms == {"001": 1, "010": 1, "100": 1}
+    assert usable_rotations(matrix).tolist() == [1, 2, 3]
+    assert len(reads) == 1
+    # cells that are replaced, and writable, are read on every call
+    matrix.cells = np.zeros((3, 3, 2), dtype=np.int8)
+    matrix.cells[[0, 1, 2], [0, 1, 2], 1] = 1
+    assert reconstruct(matrix).terms == {"111": 1}
+    matrix.cells[0, 0] = (1, 0)
+    assert reconstruct(matrix).terms == {"011": 1}
+    assert len(reads) == 3
+    # and so are cells made writable again, as a write may follow
+    grid = _matrix([[(1, 0), (0, 0)], [(0, 0), (0, 1)]])
+    assert reconstruct(grid).terms == {"01": 1}
+    grid.cells.flags.writeable = True
+    grid.cells[1, 1] = (1, 0)
+    assert reconstruct(grid).terms == {"00": 1}

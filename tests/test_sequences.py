@@ -89,6 +89,14 @@ def test_lfsr_inputs_are_bits_not_truncated(bad):
     )
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, np.float32("nan")])
+def test_lfsr_inputs_reject_non_finite_values(bad):
+    with pytest.raises(ValueError, match="coefficients must be 0 or 1"):
+        generate_m_sequence((1, 1, 0, bad))
+    with pytest.raises(ValueError, match="seed must be 3 bits"):
+        generate_m_sequence((1, 1, 0, 1), seed=(1, bad, 1))
+
+
 def test_set_structure(set3):
     n = set3.length
     assert n == 8 and set3.usable_count == 7
