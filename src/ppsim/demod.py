@@ -191,13 +191,18 @@ def mode_status_matrix(
             raise DimensionMismatchError(
                 f"{len(fields)} fields but set has {pset.usable_count} usable references"
             )
-        carriers = bit_carriers(pset.bit_rows[1 : len(fields) + 1], pset.mapping_phase)
+        rows = pset._rows(np.arange(1, len(fields) + 1))
+        carriers = bit_carriers(rows, pset.mapping_phase)
     else:
         carriers = np.asarray(refs)
     slot_count = fields[0].slot_count
     if any(f.slot_count != slot_count for f in fields):
         raise DimensionMismatchError("input fields differ in length")
-    if carriers.ndim != 2 or carriers.shape[1] != slot_count:
+    if carriers.ndim != 2:
+        raise DimensionMismatchError(
+            f"refs must be a 2-D array of carrier rows, got shape {carriers.shape}"
+        )
+    if carriers.shape[1] != slot_count:
         raise DimensionMismatchError("reference length differs from field length")
     stack = np.stack([f.samples for f in fields])  # (nf, N, 2)
     raw = np.einsum("fkm,rk->frm", stack, carriers.conj(), optimize=True) / slot_count

@@ -25,8 +25,8 @@ class NonPrimitivePolynomialError(SimulationError):
     """A feedback polynomial failed the full-period primitivity check."""
 
 
-class ClosureError(SimulationError):
-    """An elementwise sequence product left the sequence set."""
+class TableTooLargeError(SimulationError):
+    """A sequence table would take more units than it may allocate."""
 
 
 class DimensionMismatchError(SimulationError):
@@ -58,6 +58,8 @@ def _as_int(value) -> int:
     stops holding every integer (2**53 for a float), as it may not be the
     number that was written.
     """
+    if type(value) is int:  # the common case, decided without numpy
+        return value
     if isinstance(value, str):
         return int(value)
     try:

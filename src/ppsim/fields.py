@@ -27,9 +27,10 @@ class ClassicalField:
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=np.complex128)
-        if self.samples.ndim != 2 or self.samples.shape[1] != 2:
+        shape = self.samples.shape
+        if len(shape) != 2 or shape[1] != 2 or shape[0] == 0:
             raise DimensionMismatchError(
-                f"field samples must have shape (N, 2), got {self.samples.shape}"
+                f"field samples must have shape (N, 2) with N >= 1, got {shape}"
             )
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("field samples must be finite")
@@ -60,7 +61,7 @@ def canonical_inputs(pset: PpsSet, n: int) -> list[ClassicalField]:
         raise DimensionMismatchError(
             f"{n} fields requested but set has {pset.usable_count} usable sequences"
         )
-    rows = pset.bit_rows[1 : n + 1, :, None]
+    rows = pset._rows(np.arange(1, n + 1))[:, :, None]
     bits = np.broadcast_to(rows, rows.shape[:2] + (2,))  # one bit row, both modes
     return [ClassicalField(samples) for samples in bit_carriers(bits, pset.mapping_phase)]
 

@@ -79,27 +79,13 @@ def _format_mapping(phase: float) -> str:
 def save_pps_set(pset: PpsSet, path) -> None:
     """Text format: degree, polynomial, mapping and row1 headers, no row lines.
 
-    Row 1 and the polynomial fix every row of a family that build_pps_set makes,
-    so the file is O(N), not N**2 bits. A set whose rows are not that family
-    would load back as another set: it raises FormatError, and nothing is written."""
-    errors = (SimulationError, ValueError, IndexError)
-    with _malformed(path, "rows are not a PPS family", errors):
-        seed = tuple(pset.bit_rows[1, : pset.degree])
-        family = build_pps_set(pset.degree, pset.polynomial, pset.mapping_phase, seed)
-    rows, expect = pset.bit_rows, family.bit_rows
-    if rows.dtype == expect.dtype and rows.shape == expect.shape:
-        # N**2 is a multiple of 8: compare eight units to a word
-        rows = np.ascontiguousarray(rows).reshape(-1).view(np.uint64)
-        expect = expect.reshape(-1).view(np.uint64)
-    if not np.array_equal(expect, rows):
-        raise FormatError(
-            f"{path}: rows differ from the family that the headers and row 1 generate"
-        )
+    Row 1 and the polynomial fix every row of the set, so the file is O(N),
+    not N**2 bits."""
     lines = [
         f"degree: {pset.degree}",
         "polynomial: " + ",".join(str(int(c)) for c in pset.polynomial),
         "mapping: " + _format_mapping(pset.mapping_phase),
-        "row1: " + ",".join(map(str, pset.bit_rows[1].tolist())),
+        "row1: " + ",".join(map(str, pset._rows([1])[0].tolist())),
     ]
     _write_text(path, "\n".join(lines) + "\n")
 
@@ -165,7 +151,8 @@ def load_pps_set(path) -> PpsSet:
     with _malformed(path, "rows are not a PPS family", (SimulationError, ValueError)):
         seed = tuple(rows[1 - first, :degree])  # row 1's first S bits
         family = build_pps_set(degree, polynomial, mapping, seed=seed)
-    if not np.array_equal(family.bit_rows[first : first + len(rows)], rows):
+    expect = family._rows([1]) if first else family.bit_rows
+    if not np.array_equal(expect, rows):
         raise FormatError(
             f"{path}: rows differ from the family that the headers and row 1 generate"
         )

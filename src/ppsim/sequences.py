@@ -8,6 +8,13 @@ e^{i lambda} of distinct sequences are exactly orthogonal under the
 normalized correlation, every nonzero sequence sums to zero (balance), and
 the elementwise product of two carriers is another carrier of the same set
 (closure under bit-row XOR).
+
+A set is held as its generator. The m-sequence is built once, and rows are
+gathered from it on demand, so no pipeline builds the N x N table. The
+whole-table properties `bit_rows` and `carriers` are built per access and
+refused past MAX_TABLE_UNITS units before they allocate, as is a gather of
+that many. The XOR of two shifts is another shift, and a row is fixed by its
+first s bits: so closure is an XOR of two s-bit windows and one lookup.
 """
 
 from __future__ import annotations
@@ -18,10 +25,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    ClosureError,
     DegenerateStateError,
     DimensionMismatchError,
     NonPrimitivePolynomialError,
+    TableTooLargeError,
     _as_int,
 )
 
@@ -29,6 +36,10 @@ PI = math.pi
 HALF_PI = math.pi / 2.0
 
 _MAPPING_NAMES = {"pi": PI, "pi/2": HALF_PI}  # phases named in files and the CLI
+
+# Bit rows or carriers past this many units are refused before they are
+# allocated: degree 12's whole table, whose carriers take 256 MiB.
+MAX_TABLE_UNITS = 1 << 24
 
 # Feedback polynomials over GF(2), ascending coefficients [c0, c1, ..., cs]
 # for c0 + c1 x + ... + cs x^s. Every entry is verified primitive by the
@@ -57,7 +68,7 @@ def _bits(values: tuple, message: str) -> tuple[int, ...]:
     raises ValueError(message)."""
     try:
         bits = tuple(int(v) for v in values)
-    except (OverflowError, ValueError):  # inf, NaN
+    except (OverflowError, TypeError, ValueError):  # inf, NaN, None, a row
         raise ValueError(message) from None
     # int() truncates 1.5 to 1, so a value it changed is not 0 or 1
     if bits != values or any(b not in (0, 1) for b in bits):
@@ -130,50 +141,115 @@ def _parse_mapping(mapping_phase: float | str) -> float:
 
 @dataclass(eq=False)
 class PpsSet:
-    """A full PPS family: generation parameters plus all N bit rows."""
+    """A PPS family held as its generator: degree, polynomial, mapping, seed.
+
+    The m-sequence that the generator runs is built once and kept; every row
+    is a rotation of it, gathered on demand. `seed` is the first `degree`
+    bits of row 1 (default all ones).
+    """
 
     degree: int
     polynomial: tuple[int, ...]
     mapping_phase: float
-    bit_rows: np.ndarray  # (N, N) uint8; row j holds lambda^(j) bits
-    _window_rows: np.ndarray | None = field(default=None, init=False, repr=False)
+    seed: tuple[int, ...] | None = None
+    # The strip is the m-sequence (row 1's first N-1 units), its first N-2
+    # units again and N zeros. _windows[j - 1], its window at unit j - 1, is
+    # row j but for the last unit; _windows[-1] is row 0.
+    _windows: np.ndarray = field(init=False, repr=False)  # (2N - 2, N) view
+    _labels: tuple[list[int], list[int]] | None = field(
+        default=None, init=False, repr=False
+    )
+
+    def __post_init__(self) -> None:
+        self.degree = _as_int(self.degree)
+        self.mapping_phase = _parse_mapping(self.mapping_phase)
+        base = generate_m_sequence(self.polynomial, degree=self.degree, seed=self.seed)
+        self.polynomial = tuple(map(int, self.polynomial))
+        self.seed = base[: self.degree]
+        n, core = 1 << self.degree, bytes(base)
+        strip = core + core[:-1] + bytes(n)
+        self._windows = np.ndarray((2 * n - 2, n), np.uint8, strip, 0, (1, 1))
 
     @property
     def length(self) -> int:
         """Units per sequence, N = 2**degree."""
-        return self.bit_rows.shape[1]
+        return 1 << self.degree
 
     @property
     def usable_count(self) -> int:
         """Sequences available for fields: all but the all-zero sequence 0."""
         return self.length - 1
 
+    def _table(self, carriers: bool) -> np.ndarray:
+        """The whole (N, N) table of bit rows, or of their carriers.
+
+        Row j + 1 is row 1's first N-1 units rotated left by j; row 0 and the
+        last column hold bit 0 (carrier 1). A table past MAX_TABLE_UNITS is
+        refused before anything is allocated.
+        """
+        n = self.length
+        _check_units(n, n)
+        core, zero = self._windows[0, : n - 1], 0
+        if carriers:
+            core, zero = bit_carriers(core, self.mapping_phase), 1
+        table = np.empty((n, n), dtype=core.dtype)
+        table[0] = zero
+        # rows 1.. read flat are n copies of the core: as N = 1 mod N-1, row j + 1
+        # is the core rotated left by j, plus one unit that is then overwritten
+        table[1:].reshape(n, n - 1)[:] = core
+        table[1:, n - 1] = zero
+        return table
+
+    @property
+    def bit_rows(self) -> np.ndarray:
+        """(N, N) uint8 bits, row j holds lambda^(j); built per access."""
+        return self._table(carriers=False)
+
     @property
     def carriers(self) -> np.ndarray:
-        """(N, N) complex carriers, row j is e^{i lambda^(j)}; computed per access."""
-        return bit_carriers(self.bit_rows, self.mapping_phase)
+        """(N, N) complex carriers, row j is e^{i lambda^(j)}; built per access."""
+        return self._table(carriers=True)
 
-    def _rows_by_window(self) -> np.ndarray:
-        """Table w -> index of the row whose first `degree` bits read w.
+    def _rows(self, index) -> np.ndarray:
+        """Bit rows `index` (1-D, each in 0..N-1), equal to bit_rows[index]."""
+        n = self.length
+        _check_units(len(index), n)
+        rows = self._windows[np.asarray(index, dtype=np.intp) - 1]
+        rows[:, n - 1] = 0
+        return rows
 
-        Bit t of w is bit t of the row. Each nonzero window occurs once per
-        m-sequence period, so the N rows (row 0 reads 0) fill the N keys.
+    def _label_tables(self) -> tuple[list[int], list[int]]:
+        """(label, index_of): label[j] reads row j's first `degree` bits, bit t
+        of the label being unit t; index_of inverts it. Built on first use.
+
+        Each nonzero window occurs once per m-sequence period, so the N rows
+        (row 0 reads 0) take the N labels. Both are lists, so that a lookup
+        is plain int indexing.
         """
-        if self._window_rows is None:
-            keys = self.bit_rows[:, : self.degree] @ (1 << np.arange(self.degree))
-            table = np.full(self.length, -1, dtype=np.intp)
-            table[keys] = np.arange(self.length)
-            if (table < 0).any():
-                raise ClosureError("closure violated: row windows are not distinct")
-            self._window_rows = table
-        return self._window_rows
+        if self._labels is None:
+            n, s = self.length, self.degree
+            label = np.zeros(n, dtype=np.intp)
+            label[1:] = self._windows[: n - 1, :s] @ (1 << np.arange(s))  # rows 1..N-1
+            index_of = np.empty(n, dtype=np.intp)
+            index_of[label] = np.arange(n)
+            self._labels = (label.tolist(), index_of.tolist())
+        return self._labels
 
     def sequence(self, j: int) -> np.ndarray:
         """Carrier row e^{i lambda^(j)} of sequence j, equal to carriers[j]."""
         j = _as_int(j)
         if not 0 <= j < self.length:
             raise IndexError(f"sequence index {j} out of range 0..{self.length - 1}")
-        return bit_carriers(self.bit_rows[j], self.mapping_phase)
+        return bit_carriers(self._rows([j])[0], self.mapping_phase)
+
+
+def _check_units(rows: int, n: int) -> None:
+    """Refuse a table of `rows` rows of n units past MAX_TABLE_UNITS."""
+    if rows * n > MAX_TABLE_UNITS:
+        raise TableTooLargeError(
+            f"{rows} rows of {n} units are {rows * n} units, more than the "
+            f"{MAX_TABLE_UNITS} allowed"
+        )
 
 
 def bit_carriers(bits: np.ndarray, mapping_phase: float) -> np.ndarray:
@@ -196,27 +272,20 @@ def build_pps_set(
     mapping_phase: float | str = PI,
     seed: tuple[int, ...] | list[int] | None = None,
 ) -> PpsSet:
-    """Build the N = 2**degree sequence family from one m-sequence.
+    """The N = 2**degree sequence family of one m-sequence.
 
     Row 0 is all zero. Row 1 is the base m-sequence with a zero unit
     appended; each following row rotates the previous one left by one
     position over the first N-1 units, keeping the final unit zero. `seed`
-    is the first `degree` bits of row 1 (default all ones).
+    is the first `degree` bits of row 1 (default all ones). `polynomial`
+    defaults to the built-in one of that degree.
     """
-    degree, mapping_phase = _as_int(degree), _parse_mapping(mapping_phase)
+    degree = _as_int(degree)
     if polynomial is None:
         if degree not in PRIMITIVE_POLYNOMIALS:
             raise ValueError(f"no built-in polynomial for degree {degree}; supply one")
         polynomial = PRIMITIVE_POLYNOMIALS[degree]
-    base = generate_m_sequence(polynomial, degree=degree, seed=seed)
-    n = 1 << degree
-    rows = np.zeros((n, n), dtype=np.uint8)
-    core = np.array(base, dtype=np.uint8)
-    # rows 1.. read flat are n copies of the core: as N = 1 mod N-1, row j + 1
-    # is the core rotated left by j, plus one unit that is then zeroed
-    rows[1:].reshape(n, n - 1)[:] = core
-    rows[1:, n - 1] = 0
-    return PpsSet(degree, tuple(int(c) for c in polynomial), mapping_phase, rows)
+    return PpsSet(degree, polynomial, mapping_phase, seed)
 
 
 def correlate(a: np.ndarray, b: np.ndarray) -> complex:
@@ -226,6 +295,8 @@ def correlate(a: np.ndarray, b: np.ndarray) -> complex:
     """
     if len(a) != len(b):
         raise DimensionMismatchError(f"sequence lengths differ: {len(a)} vs {len(b)}")
+    if len(a) == 0:
+        raise DimensionMismatchError("cannot correlate empty sequences")
     return complex(np.vdot(b, a) / len(a))
 
 
@@ -242,17 +313,13 @@ def sequence_product(i: int, j: int, pset: PpsSet) -> int:
     """Index k with lambda^(i) + lambda^(j) = lambda^(k) as bit rows.
 
     Bit rows add over GF(2); for mapping_phase = pi this matches the
-    elementwise carrier product e^{i lambda^(i)} e^{i lambda^(j)}. The
-    candidate k is the row whose first `degree` bits match the XOR's; the
-    whole row k is then checked against the XOR.
+    elementwise carrier product e^{i lambda^(i)} e^{i lambda^(j)}. The rows of
+    a set are the shifts of one m-sequence, which are closed under XOR
+    (shift-and-add), and a row is fixed by its first `degree` bits: so k is
+    the row whose label is label[i] XOR label[j].
     """
     n, i, j = pset.length, _as_int(i), _as_int(j)
     if not (0 <= i < n and 0 <= j < n):
         raise IndexError(f"sequence indices {i}, {j} out of range 0..{n - 1}")
-    rows = pset.bit_rows
-    combined = np.bitwise_xor(rows[i], rows[j])
-    window = int(combined[: pset.degree] @ (1 << np.arange(pset.degree)))
-    k = int(pset._rows_by_window()[window])
-    if not np.array_equal(rows[k], combined):
-        raise ClosureError(f"closure violated: row {k} is not row {i} xor row {j}")
-    return k
+    label, index_of = pset._label_tables()
+    return index_of[label[i] ^ label[j]]

@@ -46,10 +46,13 @@ def to_waveform(sf: SymbolicField, pset: PpsSet) -> ClassicalField:
         if not 0 <= j < n:
             raise IndexError(f"sequence index {j} out of range 0..{n - 1}")
     samples = np.zeros((n, 2), dtype=np.complex128)
-    for mode, coeffs in enumerate((sf.mode0, sf.mode1)):
-        carriers = bit_carriers(pset.bit_rows[list(coeffs)], pset.mapping_phase)
+    carriers = bit_carriers(pset._rows([*sf.mode0, *sf.mode1]), pset.mapping_phase)
+    split = len(sf.mode0)
+    for mode, (coeffs, rows) in enumerate(
+        ((sf.mode0, carriers[:split]), (sf.mode1, carriers[split:]))
+    ):
         weights = np.array(list(coeffs.values()), dtype=np.complex128)
-        terms = weights[:, None] * carriers
+        terms = weights[:, None] * rows
         # an axis-0 sum adds the rows one after another, in dict order, so
         # each slot is the running sum of coeff * carrier bit for bit
         samples[:, mode] = terms.sum(axis=0, initial=0)

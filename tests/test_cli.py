@@ -445,3 +445,35 @@ def test_grover_non_finite_entry_is_format_error(tmp_path, entry):
     assert proc.stderr.startswith(f"error: {db_path}: bad database file")
     assert f"expected an integer, got {entry}" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_legacy_file_with_foreign_rows_is_format_error(tmp_path, set3):
+    # every row is a row of the family, but rows 2..7 are out of order
+    fields = tmp_path / "fields.json"
+    save_fields(canonical_inputs(set3, 2), fields)
+    rows = set3.bit_rows
+    rows[2:] = rows[[3, 2, 5, 4, 7, 6]]
+    bad = tmp_path / "permuted.pps"
+    head = "degree: 3\npolynomial: 1,1,0,1\nmapping: pi\n"
+    bad.write_text(head + "".join(",".join(map(str, r)) + "\n" for r in rows.tolist()))
+    proc = run_cli("demod", "--fields", fields, "--pps", bad)
+    assert proc.returncode == 3, proc.stderr
+    assert "differ from the family" in proc.stderr
+    assert not proc.stdout
+
+
+def test_degree16_set_from_the_command_line(tmp_path):
+    path = tmp_path / "set16.pps"
+    proc = run_cli("pps", "gen", "--degree", "16", "--out", path)
+    assert proc.returncode == 0, proc.stderr
+    assert 131_000 < path.stat().st_size < 132_000  # headers and row 1 only
+    proc = run_cli("simulate", "--canonical", "2", "--pps", path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "field 1: mode0 power 1, mode1 power 1"
+    # 300 rows of 65536 units are past the table cap: refused, exit 5
+    proc = run_cli("simulate", "--canonical", "300", "--pps", path)
+    assert proc.returncode == 5, proc.stderr
+    assert "allowed" in proc.stderr
+    proc = run_cli("shor", "--modulus", "15", "--base", "7", "--degree", "16")
+    assert proc.returncode == 0, proc.stderr
+    assert "factors: 3 5" in proc.stdout

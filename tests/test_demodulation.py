@@ -11,6 +11,7 @@ from ppsim import (
     ModeStatusMatrix,
     bell_array,
     canonical_inputs,
+    correlate,
     demodulate_mode,
     format_cell,
     make_single_pps_field,
@@ -170,3 +171,20 @@ def test_bad_threshold_rejected(set3, tau):
         mode_status_matrix(outputs, pset=set3, tau=tau)
     with pytest.raises(ValueError, match="threshold tau"):
         mode_status(outputs[0], set3.sequence(1), tau=tau)
+
+
+def test_zero_slot_inputs_fail(set3):
+    with pytest.raises(DimensionMismatchError, match="N >= 1"):
+        ClassicalField(np.zeros((0, 2)))
+    with pytest.raises(DimensionMismatchError, match="empty"):
+        correlate(np.zeros(0), np.zeros(0))
+    # a one-slot field is still a field
+    assert ClassicalField(np.ones((1, 2))).slot_count == 1
+
+
+def test_matrix_refs_must_be_rows(set3):
+    fields = canonical_inputs(set3, 1)
+    with pytest.raises(DimensionMismatchError, match="2-D array of carrier rows"):
+        mode_status_matrix(fields, refs=set3.sequence(1))
+    with pytest.raises(DimensionMismatchError, match="reference length differs"):
+        mode_status_matrix(fields, refs=[set3.sequence(1)[:-1]])
