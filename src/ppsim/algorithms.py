@@ -24,17 +24,16 @@ from .errors import (
     _as_int,
 )
 from .fields import ClassicalField, canonical_inputs
-from .gates import (
+from .gates import GateArray, apply_mode_gate, w_array
+from .placement import (
     BELL_VARIANTS,
-    GateArray,
+    CompiledArray,
     PlacementTable,
     _construction_name,
-    apply_mode_gate,
     bell_array,
     compile_placement,
     ghz_array,
     product_array,
-    w_array,
 )
 from .reconstruct import (
     MAX_KETS,
@@ -308,7 +307,7 @@ def typical_state(kind: str, pset: PpsSet, n: int | None = None) -> TypicalState
     return TypicalState(outputs, matrix, reconstruct(matrix))
 
 
-def builder_for(kind: str, n: int | None = None) -> GateArray:
+def builder_for(kind: str, n: int | None = None) -> CompiledArray | GateArray:
     """The gate array a typical_state call would run, without running it."""
     token = _construction_name(kind)
     if token in BELL_VARIANTS:

@@ -20,7 +20,7 @@ from .algorithms import (
     shor_factor,
     typical_state,
 )
-from .gates import compile_placement
+from .placement import compile_placement
 from .sequences import build_pps_set, degree_for
 
 

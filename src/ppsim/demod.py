@@ -204,6 +204,11 @@ def mode_status_matrix(
         )
     if carriers.shape[1] != slot_count:
         raise DimensionMismatchError("reference length differs from field length")
-    stack = np.stack([f.samples for f in fields])  # (nf, N, 2)
-    raw = np.einsum("fkm,rk->frm", stack, carriers.conj(), optimize=True) / slot_count
+    stack = np.stack([f.samples for f in fields], axis=1)  # (N, nf, 2)
+    if slot_count == 1:  # einsum multiplies one-slot pairs without BLAS; keep its roundings
+        sums = np.einsum("kfm,rk->frm", stack, carriers.conj(), optimize=True)
+    else:  # one (nr, N) @ (N, nf * 2) product, read as (nf, nr, 2)
+        sums = carriers.conj() @ stack.reshape(slot_count, -1)
+        sums = sums.reshape(len(carriers), len(fields), 2).transpose(1, 0, 2)
+    raw = sums / slot_count
     return ModeStatusMatrix(quantize(raw, tau), raw)

@@ -28,10 +28,10 @@ from .gates import (
     Node,
     Output,
     PhaseFlip,
-    PlacementTable,
     Split,
     Unitary,
 )
+from .placement import CompiledArray, PlacementTable
 from .reconstruct import SimulatedState
 from .sequences import _MAPPING_NAMES, PpsSet, _parse_mapping, build_pps_set
 from .symbolic import SymbolicField
@@ -293,7 +293,7 @@ def _node_from_obj(entry: dict) -> Node:
     return cls(*(read(v) for read, v in zip(readers.values(), values)))
 
 
-def save_circuit(array: GateArray, path) -> None:
+def save_circuit(array: CompiledArray | GateArray, path) -> None:
     """Circuit JSON: node list (id, kind, parameters) plus [from, to] edges."""
     obj = {
         "nodes": [_node_obj(nid, node) for nid, node in array.nodes.items()],

@@ -14,8 +14,8 @@ from importlib import resources
 import numpy as np
 
 from .algorithms import GroverDatabase
-from .gates import PlacementTable
 from .demod import ModeStatusMatrix
+from .placement import PlacementTable
 from .reconstruct import SimulatedState
 from .symbolic import SymbolicField
 

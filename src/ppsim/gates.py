@@ -1,11 +1,10 @@
 """Gate arrays: directed graphs of optical processing nodes.
 
 The node classes are the device model: mode gates, splits, unitary
-rotations, phase flips and combiners route classical two-mode fields. Arrays
-are built by hand (node and edge lists) or compiled from a placement table
-that records which sequence rides which mode of which output field. The
-named product, Bell and GHZ builders are their placement tables, compiled;
-the W builder is a hand-wired broadcast.
+rotations, phase flips and combiners route classical two-mode fields. A
+`GateArray` is built by hand (node and edge lists) or loaded from a circuit
+file, and runs node by node; the W builder is such a hand-wired broadcast.
+Arrays compiled from placement tables live in ppsim.placement.
 
 Mode gate semantics: gate A blocks both modes, gate B passes only mode 0,
 gate C passes only mode 1, gate D passes both unchanged.
@@ -19,11 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demod import SignGrid
 from .errors import DimensionMismatchError, _as_int
 from .fields import ClassicalField
-from .reconstruct import rotation_columns
-from .sequences import PpsSet
 
 # transmission factors (mode 0, mode 1) per gate kind
 _GATE_MASKS = {
@@ -166,6 +162,19 @@ def _degrees(node: Node) -> tuple[int, int]:
     return (1, 1)
 
 
+def _check_inputs(inputs: list[ClassicalField], count: int) -> None:
+    """Refuse inputs that are not `count` fields of one length."""
+    for fld in inputs:
+        if not isinstance(fld, ClassicalField):
+            raise TypeError(
+                f"array inputs must be ClassicalField objects, got {type(fld).__name__}"
+            )
+    if len(inputs) != count:
+        raise DimensionMismatchError(f"array has {count} inputs, got {len(inputs)} fields")
+    if len({f.slot_count for f in inputs}) > 1:
+        raise DimensionMismatchError("input fields differ in length")
+
+
 @dataclass(eq=False)
 class GateArray:
     """Directed acyclic graph of processing nodes.
@@ -240,12 +249,7 @@ class GateArray:
 
     def run(self, inputs: list[ClassicalField]) -> list[ClassicalField]:
         """Propagate input fields through the graph; outputs by index."""
-        if len(inputs) != self.input_count:
-            raise DimensionMismatchError(
-                f"array has {self.input_count} inputs, got {len(inputs)} fields"
-            )
-        if len({f.slot_count for f in inputs}) > 1:
-            raise DimensionMismatchError("input fields differ in length")
+        _check_inputs(inputs, self.input_count)
         edge_values: list[np.ndarray | None] = [None] * len(self.edges)
         results: list[ClassicalField | None] = [None] * self.output_count
         for nid in self._order:
@@ -277,164 +281,6 @@ class GateArray:
                     value += more
             edge_values[self._out_edges[nid][0]] = value
         return results
-
-
-@dataclass(eq=False)
-class PlacementTable(SignGrid):
-    """Square sign grid: cell (i, j) places sequence j onto field i.
-
-    cells[i-1, j-1] = (a, b) means sequence j rides mode 0 of output
-    field i with sign a and mode 1 with sign b; (0, 0) means absent.
-    """
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.cells.shape[0] != self.cells.shape[1]:
-            raise DimensionMismatchError("placement cells must have shape (n, n, 2)")
-
-    @property
-    def size(self) -> int:
-        return int(self.cells.shape[0])
-
-    @classmethod
-    def from_status_matrix(cls, matrix) -> "PlacementTable":
-        """Adopt the quantized signs of a measured mode status matrix."""
-        return cls(matrix.signs())
-
-
-def compile_placement(table: PlacementTable, pset: PpsSet) -> GateArray:
-    """Compile a placement table into a gate array.
-
-    Input bus j carries sequence j on both modes (the canonical input).
-    Each nonzero cell becomes a gate chain tapping that bus: equal signs
-    use gate D, a lone mode-0 sign uses gate B, a lone mode-1 sign uses
-    gate C, and opposite signs use a B branch plus a C branch. Negative
-    signs append a phase flip. Buses with several consumers fan out
-    through a unit-gain split; rows with several terms merge through a
-    combiner. An empty row blocks its own bus with gate A; a bus no cell
-    consumes is likewise terminated into gate A and its zero output joins
-    the same-numbered row.
-    """
-    n = table.size
-    if n > pset.usable_count:
-        raise DimensionMismatchError(
-            f"table needs {n} sequences, set provides {pset.usable_count}"
-        )
-    return _compile_cells(table.cells)
-
-
-def _compile_cells(cells: np.ndarray) -> GateArray:
-    """Wire an (n, n, 2) sign grid by the rules of compile_placement."""
-    n = cells.shape[0]
-    nodes: dict[str, Node] = {}
-    edges: list[tuple[str, str]] = []
-    bus_taps: dict[int, list[str]] = {j: [] for j in range(1, n + 1)}
-    row_terms: dict[int, list[str]] = {i: [] for i in range(1, n + 1)}
-
-    def add_chain(i: int, j: int, kind: str, negate: bool) -> None:
-        gid = f"g{kind}_{i}_{j}"
-        nodes[gid] = ModeGate(kind)
-        tail = gid
-        if negate:
-            fid = f"flip{kind}_{i}_{j}"
-            nodes[fid] = PhaseFlip()
-            edges.append((gid, fid))
-            tail = fid
-        bus_taps[j].append(gid)
-        row_terms[i].append(tail)
-
-    occupied = cells.any(axis=2)
-    places = (np.argwhere(occupied) + 1).tolist()  # 1-based, row-major
-    for (i, j), (a, b) in zip(places, cells[occupied].tolist()):
-        if a == b:
-            add_chain(i, j, "D", a < 0)
-            continue
-        if a:
-            add_chain(i, j, "B", a < 0)
-        if b:
-            add_chain(i, j, "C", b < 0)
-    # an empty row consumes its own bus through a blocking gate; then any bus
-    # still unconsumed is blocked the same way and parked on its own row
-    for pending in (row_terms, bus_taps):
-        for k in range(1, n + 1):
-            if not pending[k]:
-                gid = f"gA_{k}_{k}"
-                nodes[gid] = ModeGate("A")
-                bus_taps[k].append(gid)
-                row_terms[k].append(gid)
-    for j in range(1, n + 1):
-        bid = f"in{j}"
-        nodes[bid] = Input(j - 1)
-        taps = bus_taps[j]
-        if len(taps) == 1:
-            edges.append((bid, taps[0]))
-        else:
-            sid = f"split{j}"
-            nodes[sid] = Split(len(taps))
-            edges.append((bid, sid))
-            edges.extend((sid, tap) for tap in taps)
-    for i in range(1, n + 1):
-        oid = f"out{i}"
-        nodes[oid] = Output(i - 1)
-        terms = row_terms[i]
-        if len(terms) == 1:
-            edges.append((terms[0], oid))
-        else:
-            cid = f"comb{i}"
-            nodes[cid] = Combine(len(terms))
-            edges.extend((term, cid) for term in terms)
-            edges.append((cid, oid))
-    return GateArray(nodes, edges)
-
-
-def product_array(n: int) -> GateArray:
-    """n parallel pass-through gates: field i keeps sequence i on both modes."""
-    n = _as_int(n)
-    if n < 1:
-        raise ValueError("need at least one field")
-    cells = np.zeros((n, n, 2), dtype=np.int8)
-    cells[range(n), range(n)] = 1
-    return _compile_cells(cells)
-
-
-# psi variants cross-route the inputs (field 1 gets sequence 1 on mode 0
-# and sequence 2 on mode 1, field 2 the reverse); phi variants give both
-# fields the same composition. The minus variants flip the sign of the
-# sequence-1 term of field 2.
-_BELL_TABLES = {
-    "psi+": [[(1, 0), (0, 1)], [(0, 1), (1, 0)]],
-    "psi-": [[(1, 0), (0, 1)], [(0, -1), (1, 0)]],
-    "phi+": [[(1, 0), (0, 1)], [(1, 0), (0, 1)]],
-    "phi-": [[(1, 0), (0, 1)], [(-1, 0), (0, 1)]],
-}
-BELL_VARIANTS = tuple(_BELL_TABLES)
-
-
-def _construction_name(name: str) -> str:
-    """A construction name stripped, lower-cased and without a "bell" prefix."""
-    if not isinstance(name, str):
-        raise ValueError(f"construction name must be a string, got {name!r}")
-    token = name.strip().lower()
-    return token[4:].lstrip(" -:") if token.startswith("bell") else token
-
-
-def bell_array(variant: str = "psi+") -> GateArray:
-    """Two-field array preparing one of the four maximally paired states."""
-    v = _construction_name(variant)
-    if v not in BELL_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; choose from {BELL_VARIANTS}")
-    return _compile_cells(np.array(_BELL_TABLES[v], dtype=np.int8))
-
-
-def ghz_array(n: int = 3) -> GateArray:
-    """Cyclic chain: field i gets sequence i on mode 0, sequence i+1 on mode 1
-    (rotation R_1 carries |0...0>, rotation R_2 carries |1...1>)."""
-    n = _as_int(n)
-    if n < 3:
-        raise ValueError("chain needs at least 3 fields; use bell_array for pairs")
-    cells = np.zeros((n, n, 2), dtype=np.int8)
-    cells[np.arange(n)[:, None], rotation_columns(n, [1, 2]), [0, 1]] = 1
-    return _compile_cells(cells)
 
 
 def w_array(n: int = 3) -> GateArray:
