@@ -138,6 +138,8 @@ class ShorResult:
 
 def period_from_state(state: SimulatedState, f_bits: int) -> int:
     """Number of distinct function-register kets in a reconstructed state."""
+    if not 1 <= f_bits <= state.width:
+        raise ValueError(f"f_bits must be 1..{state.width}, got {f_bits}")
     return len({bits[-f_bits:] for bits in state.terms})
 
 

@@ -47,7 +47,8 @@ file schemas:
                      "mode1": [[re,im],...]}, ...]}; round-trips bit-exactly.
   matrix (JSON/CSV): grid of cells "0" or "(a,b)" with a,b in {-1,0,1};
                      a .csv file is CSV rows, any other is {"cells": [[...],...]}.
-  state (JSON):      [{"bitstring": "0101", "coefficient": 1}, ...].
+  state (JSON):      [{"bitstring": "0101", "coefficient": 1}, ...]; each ket
+                     at most once, each |coefficient| at most 2**63 - 1.
   circuit (JSON):    {"nodes": [{"id", "kind": input|output|split|gate|
                      unitary|flip|combine, ...params}], "edges": [[from,to],...]}.
   database (JSON):   [61, 63, ...] or {"width": 8, "entries": [...],

@@ -251,7 +251,11 @@ def save_state(state: SimulatedState, path) -> None:
 def load_state(path) -> SimulatedState:
     obj = _read_json(path)
     with _malformed(path, "bad state file", _CONTENT_ERRORS):
-        terms = {str(e["bitstring"]): _as_int(e["coefficient"]) for e in obj}
+        terms = {}
+        for entry in obj:
+            if (bits := str(entry["bitstring"])) in terms:
+                raise ValueError(f"ket {bits!r} listed twice")
+            terms[bits] = _as_int(entry["coefficient"])
         width = len(next(iter(terms))) if terms else 0
         return SimulatedState(width, terms)
 

@@ -8,20 +8,19 @@ the sum over rotations, with integer coefficients reduced by their common
 factor, is the simulated state. That one read serves reconstruction,
 sampling, search and the factoring period.
 
-The usable diagonals expand to 0/1 digit rows in whole-array steps
-(`_expand`): the rotations with no both-mode cell form one block, and each
-rotation with k both-mode cells adds a block of 2**k rows. Each row packs
-into one label (`_pack`) whose order is ket order; duplicate labels are
-summed by one sort. Only a state's `terms` spell the labels as strings
-(`_spell`). A state of more than `MAX_KETS` kets raises StateTooLargeError
-before anything is allocated. A grid's cells are read-only, so the read of
-its diagonals is kept on the grid and sampling reads them once per grid.
+A state has one form: its width, ascending distinct labels (`_pack`, one
+ket each, in ket order) and reduced int64 coefficients. A checked dict and
+the 0/1 digit rows that `reconstruct` expands in whole-array steps
+(`_expand`) are packed and pass through one canonical-form step,
+`SimulatedState._canonical`; only `terms` spells labels (`_spell`). A state
+of more than `MAX_KETS` kets raises StateTooLargeError before anything is
+allocated. A grid's cells are read-only, so the read of its diagonals is
+kept on the grid and sampling reads them once per grid.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 
 import numpy as np
 
@@ -43,30 +42,24 @@ def rotation_columns(n: int, rotations) -> np.ndarray:
 
 
 class SimulatedState:
-    """Integer-coefficient superposition over n-digit binary kets.
-
-    Coefficients are reduced by their greatest common factor on
-    construction (signs are kept), so equal states compare equal. A state
-    that `reconstruct` returns holds packed labels and int64 coefficients;
-    its `terms` are spelled on first access and kept.
-    """
+    """Integer-coefficient superposition over n-digit binary kets, held as
+    its width, ascending distinct `_pack` labels and nonzero int64
+    coefficients within +-(2**63 - 1), reduced by their greatest common
+    factor (signs kept), so equal states compare equal. `terms` spells
+    them on first access and keeps them."""
 
     def __init__(self, width: int, terms: dict[str, int]):
         self.width = _as_int(width)
         if self.width < 0:
             raise ValueError(f"ket width must be nonnegative, got {self.width}")
         labels, coeffs = terms.keys(), terms.values()
-        if (
+        if not (
             set(map(type, labels)) <= {str}
             and set(map(len, labels)) <= {self.width}
             and (text := "".join(labels)).isascii()  # so encode() cannot fail
-            and not text.encode().translate(None, b"01")  # digits 0 and 1 only
+            and not (raw := text.encode()).translate(None, b"01")  # digits 0 and 1 only
             and set(map(type, coeffs)) <= {int}
-        ):
-            if 0 in coeffs:
-                terms = {bits: coeff for bits, coeff in terms.items() if coeff}
-        else:  # check term by term, to name the first bad one
-            cleaned = {}
+        ):  # check term by term, to name the first bad one
             for bits, coeff in terms.items():
                 if len(bits) != self.width or bits.strip("01"):
                     raise ValueError(f"bad ket label {bits!r} for width {self.width}")
@@ -76,38 +69,40 @@ class SimulatedState:
                     whole = None
                 if whole != coeff or isinstance(coeff, (bool, np.bool_)):
                     raise ValueError("coefficients must be integers")
-                if coeff:
-                    cleaned[bits] = int(coeff)
-            terms = cleaned
-        common = math.gcd(*terms.values())
-        if common == 1 and list(terms) == sorted(terms):
-            self._terms = dict(terms)
-        else:
-            self._terms = {bits: c // common for bits, c in sorted(terms.items())}
+            raw, coeffs = "".join(labels).encode(), map(int, coeffs)
+        try:
+            coeffs = np.fromiter(coeffs, dtype=np.int64, count=len(terms))
+            if (coeffs == np.iinfo(np.int64).min).any():
+                raise OverflowError
+        except OverflowError:
+            raise ValueError("coefficients must lie within +-(2**63 - 1)") from None
+        digits = np.frombuffer(raw, dtype=np.uint8).reshape(len(terms), self.width)
+        self._canonical(_pack(digits - ord("0")), coeffs)
 
-    @classmethod
-    def _packed(cls, width: int, labels: np.ndarray, coeffs: np.ndarray):
-        """A state of ascending distinct `_pack` labels and their reduced,
-        nonzero int64 coefficients, none of them checked again."""
-        state = cls.__new__(cls)
-        state.width, state._terms = width, None
-        state._labels, state._coeffs = labels, coeffs
-        return state
+    def _canonical(self, labels: np.ndarray, coeffs: np.ndarray) -> None:
+        """Hold `_pack` labels and int64 coefficients in canonical form: sorted
+        unless strictly ascending already, equal labels summed in int64, zero
+        sums dropped, the rest divided by their gcd (`coeffs` may change)."""
+        if len(labels) > 1 and not (labels[1:] > labels[:-1]).all():
+            order = np.argsort(labels, kind="stable")
+            labels, coeffs = labels[order], coeffs[order]
+            starts = np.flatnonzero(np.r_[True, labels[1:] != labels[:-1]])
+            labels, coeffs = labels[starts], np.add.reduceat(coeffs, starts)
+        if not coeffs.all():
+            labels, coeffs = labels[coeffs != 0], coeffs[coeffs != 0]
+        coeffs //= np.gcd.reduce(coeffs)  # an empty array stays empty
+        self._labels, self._coeffs = labels, coeffs
 
-    @property
+    @functools.cached_property
     def terms(self) -> dict[str, int]:
         """Ket label -> coefficient, in ascending label order."""
-        if self._terms is None:
-            labels = self._labels
-            packed = labels.view(np.uint8).reshape(len(labels), labels.itemsize)
-            labels = _spell(np.unpackbits(packed, axis=1, count=self.width))
-            self._terms = dict(zip(labels, self._coeffs.tolist()))
-            self._labels = self._coeffs = None
-        return self._terms
+        packed = self._labels.view(np.uint8).reshape(-1, self._labels.itemsize)
+        digits = np.unpackbits(packed, axis=1, count=self.width)
+        return dict(zip(_spell(digits), self._coeffs.tolist()))
 
     @property
     def is_zero(self) -> bool:
-        return not (self._terms if self._terms is not None else len(self._coeffs))
+        return not len(self._coeffs)
 
     def coefficient(self, bits: str) -> int:
         return self.terms.get(bits, 0)
@@ -124,7 +119,8 @@ class SimulatedState:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.width, self.terms) == (other.width, other.terms)
+        mine = (self.width, self._labels.tobytes(), self._coeffs.tobytes())
+        return mine == (other.width, other._labels.tobytes(), other._coeffs.tobytes())
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}(width={self.width!r}, terms={self.terms!r})"
@@ -213,12 +209,16 @@ def _expand(diagonals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _pack(digits: np.ndarray) -> np.ndarray:
     """(K,) labels of (K, n) 0/1 digit rows, the first digit most significant,
     so that label order is ket order: big-endian uint64 for n <= 64, and the
-    np.packbits byte rows, compared as bytes, above."""
-    packed = np.packbits(digits, axis=1)
-    if digits.shape[1] > 64:
-        return packed.view(f"V{packed.shape[1]}").ravel()
-    wide = np.zeros((len(packed), 8), dtype=np.uint8)
-    wide[:, : packed.shape[1]] = packed
+    np.packbits byte rows as byte strings above."""
+    kets, n = digits.shape
+    size = -(-n // 8)  # bytes per row
+    bits = np.zeros((kets, 8 * size), dtype=np.uint8)  # whole bytes: rows pack in one run
+    bits[:, :n] = digits
+    packed = np.packbits(bits).reshape(kets, size)
+    if n > 64:
+        return packed.view(f"S{size}").ravel()
+    wide = np.zeros((kets, 8), dtype=np.uint8)
+    wide[:, :size] = packed
     return wide.view(">u8").ravel()
 
 
@@ -241,24 +241,16 @@ def reconstruct(matrix: SignGrid) -> SimulatedState:
 
     Field i of a rotation contributes the factor (a|0> + b|1>) read from its
     rotated status; all usable rotations expand together, by `_expand`, and
-    their kets are packed into labels. Kets of one rotation are distinct and
-    ascending; those of several are summed by one sort, zero sums are
-    dropped and the rest divided by their gcd. Raises StateTooLargeError
-    when the rotations expand to more than MAX_KETS kets.
+    the canonical form sums the kets they share, drops zero sums and divides
+    by the gcd. Raises StateTooLargeError past MAX_KETS kets.
     """
-    diagonals = _usable(matrix)[1]
-    digits, coeffs = _expand(diagonals)
+    digits, coeffs = _expand(_usable(matrix)[1])
     labels = _pack(digits)
     del digits
-    if len(diagonals) > 1:
-        labels, inverse = np.unique(labels, return_inverse=True)
-        # each ket's coefficient is +-1, so every sum is exact in float64
-        coeffs = np.bincount(inverse, weights=coeffs, minlength=len(labels))
-        nonzero = coeffs != 0
-        labels, coeffs = labels[nonzero], coeffs[nonzero].astype(np.int64)
-        if len(coeffs):
-            coeffs //= np.gcd.reduce(coeffs)
-    return SimulatedState._packed(matrix.cells.shape[0], labels, coeffs)
+    state = SimulatedState.__new__(SimulatedState)
+    state.width = matrix.cells.shape[0]
+    state._canonical(labels, coeffs)
+    return state
 
 
 @_kept

@@ -13,6 +13,7 @@ from ppsim import (
     ModeStatusMatrix,
     PeriodUnusableError,
     ShorInstance,
+    SimulatedState,
     TYPICAL_KINDS,
     bell_array,
     builder_for,
@@ -115,6 +116,15 @@ def test_shor_factor_full_run(set4):
     assert sorted(result.state.terms) == list(ref.state_kets)
     assert set(result.state.terms.values()) == {1}
     assert period_from_state(result.state, 4) == 4
+
+
+def test_period_from_state_needs_f_bits_inside_the_state():
+    ghz = SimulatedState(3, {"000": 1, "111": 1})
+    assert [period_from_state(ghz, f_bits) for f_bits in (1, 2, 3)] == [2, 2, 2]
+    # f_bits 0 once read whole kets, as bits[-0:] is the whole label
+    for f_bits in (0, -1, 4, 9):
+        with pytest.raises(ValueError, match=f"f_bits must be 1..3, got {f_bits}"):
+            period_from_state(ghz, f_bits)
 
 
 def test_shor_result_state_is_built_on_first_access(set4):

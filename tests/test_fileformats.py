@@ -175,6 +175,26 @@ def test_state_round_trip(tmp_path):
         load_state(path)
 
 
+def test_state_file_lists_each_ket_once(tmp_path):
+    # a repeated ket is malformed, not overwritten by its later entry
+    path = tmp_path / "state.json"
+    terms = [{"bitstring": "01", "coefficient": 1}, {"bitstring": "01", "coefficient": -1}]
+    path.write_text(json.dumps(terms))
+    with pytest.raises(FormatError, match=re.escape("bad state file (ket '01' listed twice)")):
+        load_state(path)
+
+
+def test_state_file_coefficients_fit_in_64_bits(tmp_path):
+    path = tmp_path / "state.json"
+    top = 2**63 - 1
+    path.write_text(json.dumps([{"bitstring": "0", "coefficient": top}, {"bitstring": "1", "coefficient": 2}]))
+    assert load_state(path).terms == {"0": top, "1": 2}
+    for big in (2**63, -(2**63), 10**30):
+        path.write_text(json.dumps([{"bitstring": "0", "coefficient": big}]))
+        with pytest.raises(FormatError, match=re.escape("bad state file (coefficients must lie within +-(2**63 - 1))")):
+            load_state(path)
+
+
 def test_circuit_round_trip(tmp_path, set3):
     for array in (bell_array("phi-"), ghz_array(3)):
         path = tmp_path / "circuit.json"

@@ -5,6 +5,7 @@ import re
 import time
 import tracemalloc
 from collections import Counter
+from random import Random
 
 import numpy as np
 import pytest
@@ -275,6 +276,63 @@ def test_reconstruct_matches_per_rotation_expansion(cells):
     assert list(state.terms.items()) == expected
     assert state.is_zero == (not expected)
     assert state == SimulatedState(len(cells), dict(expected))
+
+
+_SINGLE_MODE = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+_BOTH_MODES = [(a, b) for a in (-1, 1) for b in (-1, 1)]
+
+
+@st.composite
+def _overlapping_cells(draw):
+    """(n, n) nested lists of sign pairs, n = 1..8 or 63..70, whose usable
+    diagonals vary one shared diagonal in a few cells, so that their kets
+    coincide, sum and cancel; above 64 fields the labels are byte rows."""
+    n = draw(st.one_of(st.integers(1, 8), st.integers(63, 70)))
+    base = draw(st.lists(st.sampled_from(_SINGLE_MODE), min_size=n, max_size=n))
+    cells = np.zeros((n, n, 2), dtype=np.int8)
+    rows = np.arange(n)
+    for r in draw(st.lists(st.integers(0, n - 1), max_size=4, unique=True)):
+        diagonal = np.array(base, dtype=np.int8)
+        for i in draw(st.lists(st.integers(0, n - 1), max_size=3, unique=True)):
+            diagonal[i] = draw(st.sampled_from(_SINGLE_MODE + _BOTH_MODES))
+        cells[rows, (rows + r) % n] = diagonal
+    return cells.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_sign_cells(), _overlapping_cells()), st.randoms(), st.integers(1, 5))
+@example([[(1, 0), (-1, 0)], [(1, 0), (1, 0)]], Random(0), 1)  # the zero state
+def test_dict_built_state_is_the_reconstructed_state(cells, rng, scale):
+    # one form: a state built from a dict holds what reconstruct holds
+    state = reconstruct(_matrix(cells))
+    items = list(state.terms.items())
+    shuffled = items[:]
+    rng.shuffle(shuffled)
+    for terms in (dict(items), dict(shuffled), {b: scale * c for b, c in shuffled}):
+        built = SimulatedState(len(cells), terms)
+        assert built == state and state == built
+        assert list(built.terms.items()) == items
+        assert built.pretty() == state.pretty() and repr(built) == repr(state)
+        assert built.is_zero == state.is_zero == (not items)
+
+
+def test_simulated_state_coefficients_fit_in_64_bits():
+    top = 2**63 - 1
+    assert SimulatedState(1, {"0": top, "1": -top}).terms == {"0": 1, "1": -1}
+    assert SimulatedState(1, {"1": 2, "0": -top}).terms == {"0": -top, "1": 2}
+    for big in (2**63, -(2**63), 2**64 + 1, 10**30, 1e300, np.uint64(2**63)):
+        with pytest.raises(ValueError, match=re.escape("coefficients must lie within +-(2**63 - 1)")):
+            SimulatedState(1, {"0": 1, "1": big})
+
+
+def test_simulated_state_of_width_zero():
+    empty, one = SimulatedState(0, {}), SimulatedState(0, {"": -5})
+    assert empty.is_zero and empty.terms == {} and empty.pretty() == "0"
+    assert not one.is_zero and one.terms == {"": -1} and one.pretty() == "-|>"
+    assert one == SimulatedState(0, {"": -1}) != empty
+    assert repr(one) == "SimulatedState(width=0, terms={'': -1})"
+    with pytest.raises(ValueError, match="bad ket label '0' for width 0"):
+        SimulatedState(0, {"0": 1})
 
 
 def _wide_cells(n: int, seed: int) -> list:
