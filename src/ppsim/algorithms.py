@@ -30,6 +30,8 @@ from .placement import (
     CompiledArray,
     PlacementTable,
     _construction_name,
+    _msb_bits,
+    _place,
     bell_array,
     compile_placement,
     ghz_array,
@@ -46,14 +48,6 @@ from .reconstruct import (
 )
 from .sequences import PpsSet
 from .symbolic import SymbolicField, to_waveform
-
-
-def _msb_bits(values, width: int) -> np.ndarray:
-    """(len(values), width) bits, MSB first; read from bytes, so any width works."""
-    size = (width + 7) // 8
-    raw = b"".join(int(v).to_bytes(size, "big") for v in values)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8)).reshape(-1, 8 * size)
-    return bits[:, 8 * size - width :]
 
 
 @dataclass
@@ -95,8 +89,8 @@ def shor_encode(inst: ShorInstance, pset: PpsSet) -> PlacementTable:
     """Placement table carrying every joint ket |x>|f(x)> of the instance.
 
     Argument x lies in residue class x mod r, r the order of the base, and
-    rides rotation R = R_(x mod r + 1): bit i of x||f(x) (MSB first) picks
-    the mode of cell (i, R(i)). A cell touched on both modes reads (1, 1).
+    its ket x||f(x) rides rotation R_(x mod r + 1) (`_place`): a cell
+    touched on both modes reads (1, 1).
     """
     n = inst.register_width
     if n > pset.usable_count:
@@ -116,10 +110,7 @@ def shor_encode(inst: ShorInstance, pset: PpsSet) -> PlacementTable:
     x = np.arange(kets)
     classes = x % len(powers)
     joints = (x << inst.f_bits) | np.array(powers)[classes]
-    cells = np.zeros((n, n, 2), dtype=np.int8)
-    columns = rotation_columns(n, classes + 1)  # [i, x]
-    cells[np.arange(n)[:, None], columns, _msb_bits(joints.tolist(), n).T] = 1
-    return PlacementTable(cells)
+    return _place(n, joints.tolist(), classes + 1)
 
 
 @dataclass
@@ -138,6 +129,7 @@ class ShorResult:
 
 def period_from_state(state: SimulatedState, f_bits: int) -> int:
     """Number of distinct function-register kets in a reconstructed state."""
+    f_bits = _as_int(f_bits)
     if not 1 <= f_bits <= state.width:
         raise ValueError(f"f_bits must be 1..{state.width}, got {f_bits}")
     return len({bits[-f_bits:] for bits in state.terms})

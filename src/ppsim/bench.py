@@ -65,12 +65,11 @@ def bench_grover(width: int = 8, entry_count: int = 13, seed: int = 0) -> BenchR
     db = GroverDatabase(width, entries)
     pset = build_pps_set(degree_for(width))
     start = time.perf_counter()
-    grover_search(db, entries[0], pset)
+    result = grover_search(db, entries[0], pset)
     elapsed = time.perf_counter() - start
-    # the query stage applies one mode gate per field
-    return BenchReport(
-        f"search(w={width},k={entry_count})", {"ModeGate": width}, elapsed
-    )
+    # the query stage applies one mode gate per field it demodulates
+    gates = {"ModeGate": result.matrix.field_count}
+    return BenchReport(f"search(w={width},k={entry_count})", gates, elapsed)
 
 
 def run_benchmarks() -> list[BenchReport]:

@@ -33,10 +33,13 @@ def quantize(raw, tau: float = DEFAULT_THRESHOLD):
 
     A scalar gives an int; an array gives an int8 array of the same shape.
     The threshold must be positive and finite: a zero, negative or NaN tau
-    would call empty cells occupied, an infinite one every cell empty.
+    would call empty cells occupied, an infinite one every cell empty. A
+    non-finite raw has no sign to read and is refused too.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"threshold tau must be positive and finite, got {tau!r}")
+    if not np.isfinite(raw).all():
+        raise ValueError("raw correlations must be finite")
     re_part = np.real(raw)
     signs = np.where(np.abs(re_part) < tau, 0, np.sign(re_part)).astype(np.int8)
     return int(signs) if signs.ndim == 0 else signs
@@ -105,7 +108,7 @@ class SignGrid:
             raise DimensionMismatchError(
                 f"sign cells must have shape (n, m, 2), got {arr.shape}"
             )
-        if not np.all(np.isin(arr, (-1, 0, 1))):
+        if not ((arr == -1) | (arr == 0) | (arr == 1)).all():
             raise ValueError("cell entries must be -1, 0, or +1")
         self.cells = arr.astype(np.int8)
         self.cells.flags.writeable = False

@@ -3,8 +3,8 @@
 A placement table records which sequence rides which mode of which output
 field. `compile_placement` turns it into a `CompiledArray`: the table plus
 one tap table of its gate chains, which runs from them and spells its node
-graph (a `GateArray`) only when asked. The named product, Bell and GHZ
-builders are their placement tables, compiled.
+graph (a `GateArray`) only when asked. One writer, `_place`, puts kets on
+rotations; the named builders and the factoring encoder write through it.
 """
 
 from __future__ import annotations
@@ -243,27 +243,38 @@ class CompiledArray:
         return [ClassicalField(fld) for fld in out]
 
 
+def _msb_bits(values, width: int) -> np.ndarray:
+    """(len(values), width) bits, MSB first; read from bytes, so any width works."""
+    size = (width + 7) // 8
+    raw = b"".join(int(v).to_bytes(size, "big") for v in values)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8)).reshape(-1, 8 * size)
+    return bits[:, 8 * size - width :]
+
+
+def _place(n: int, kets, rotations, signs=1) -> PlacementTable:
+    """The n x n table on which ket k (field 1 its MSB) rides rotation rotations[k].
+
+    Field i of the ket sets mode bit_i of cell (i, R(i)), R = rotations[k]
+    (`rotation_columns`). Kets sharing a cell merge, so a cell hit on both
+    modes reads (1, 1). signs[k] goes on the ket's last-field cell.
+    """
+    columns = rotation_columns(n, rotations)  # [i, k]
+    bits = _msb_bits(kets, n).T  # [i, k]
+    cells = np.zeros((n, n, 2), dtype=np.int8)
+    cells[np.arange(n)[:, None], columns, bits] = 1
+    cells[n - 1, columns[-1], bits[-1]] = signs
+    return PlacementTable(cells)
+
+
 def product_array(n: int) -> CompiledArray:
     """n parallel pass-through gates: field i keeps sequence i on both modes."""
     n = _as_int(n)
     if n < 1:
         raise ValueError("need at least one field")
-    cells = np.zeros((n, n, 2), dtype=np.int8)
-    cells[range(n), range(n)] = 1
-    return CompiledArray(PlacementTable(cells))
+    return CompiledArray(_place(n, [0, (1 << n) - 1], [1, 1]))
 
 
-# psi variants cross-route the inputs (field 1 gets sequence 1 on mode 0
-# and sequence 2 on mode 1, field 2 the reverse); phi variants give both
-# fields the same composition. The minus variants flip the sign of the
-# sequence-1 term of field 2.
-_BELL_TABLES = {
-    "psi+": [[(1, 0), (0, 1)], [(0, 1), (1, 0)]],
-    "psi-": [[(1, 0), (0, 1)], [(0, -1), (1, 0)]],
-    "phi+": [[(1, 0), (0, 1)], [(1, 0), (0, 1)]],
-    "phi-": [[(1, 0), (0, 1)], [(-1, 0), (0, 1)]],
-}
-BELL_VARIANTS = tuple(_BELL_TABLES)
+BELL_VARIANTS = ("psi+", "psi-", "phi+", "phi-")
 
 
 def _construction_name(name: str) -> str:
@@ -275,11 +286,14 @@ def _construction_name(name: str) -> str:
 
 
 def bell_array(variant: str = "psi+") -> CompiledArray:
-    """Two-field array preparing one of the four maximally paired states."""
+    """Two-field array preparing one of the four maximally paired states:
+    psi+- = |00> +- |11> and phi+- = |01> +- |10>, the first ket on R_1 and
+    the second on R_2."""
     v = _construction_name(variant)
     if v not in BELL_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; choose from {BELL_VARIANTS}")
-    return CompiledArray(PlacementTable(np.array(_BELL_TABLES[v], dtype=np.int8)))
+    kets = [0b00, 0b11] if v.startswith("psi") else [0b01, 0b10]
+    return CompiledArray(_place(2, kets, [1, 2], [1, -1 if v.endswith("-") else 1]))
 
 
 def ghz_array(n: int = 3) -> CompiledArray:
@@ -288,6 +302,4 @@ def ghz_array(n: int = 3) -> CompiledArray:
     n = _as_int(n)
     if n < 3:
         raise ValueError("chain needs at least 3 fields; use bell_array for pairs")
-    cells = np.zeros((n, n, 2), dtype=np.int8)
-    cells[np.arange(n)[:, None], rotation_columns(n, [1, 2]), [0, 1]] = 1
-    return CompiledArray(PlacementTable(cells))
+    return CompiledArray(_place(n, [0, (1 << n) - 1], [1, 2]))

@@ -180,38 +180,29 @@ class PpsSet:
         """Sequences available for fields: all but the all-zero sequence 0."""
         return self.length - 1
 
-    def _table(self, carriers: bool) -> np.ndarray:
-        """The whole (N, N) table of bit rows, or of their carriers.
-
-        Row j + 1 is row 1's first N-1 units rotated left by j; row 0 and the
-        last column hold bit 0 (carrier 1). A table past MAX_TABLE_UNITS is
-        refused before anything is allocated.
-        """
-        n = self.length
-        _check_units(n, n)
-        core, zero = self._windows[0, : n - 1], 0
-        if carriers:
-            core, zero = bit_carriers(core, self.mapping_phase), 1
-        table = np.empty((n, n), dtype=core.dtype)
-        table[0] = zero
-        # rows 1.. read flat are n copies of the core: as N = 1 mod N-1, row j + 1
-        # is the core rotated left by j, plus one unit that is then overwritten
-        table[1:].reshape(n, n - 1)[:] = core
-        table[1:, n - 1] = zero
-        return table
-
     @property
     def bit_rows(self) -> np.ndarray:
         """(N, N) uint8 bits, row j holds lambda^(j); built per access."""
-        return self._table(carriers=False)
+        return self._rows(np.arange(self.length))
 
     @property
     def carriers(self) -> np.ndarray:
-        """(N, N) complex carriers, row j is e^{i lambda^(j)}; built per access."""
-        return self._table(carriers=True)
+        """(N, N) complex carriers, row j is e^{i lambda^(j)}; built per access,
+        and past MAX_TABLE_UNITS refused before anything is allocated."""
+        n = self.length
+        _check_units(n, n)
+        core = bit_carriers(self._windows[0, : n - 1], self.mapping_phase)
+        table = np.empty((n, n), dtype=core.dtype)
+        table[0] = 1
+        # rows 1.. read flat are n copies of the core: as N = 1 mod N-1, row j + 1
+        # is the core rotated left by j, plus one unit that is then overwritten
+        table[1:].reshape(n, n - 1)[:] = core
+        table[1:, n - 1] = 1
+        return table
 
     def _rows(self, index) -> np.ndarray:
-        """Bit rows `index` (1-D, each in 0..N-1), equal to bit_rows[index]."""
+        """Bit rows `index` (1-D, each in 0..N-1): row j + 1 is row 1's first
+        N-1 units rotated left by j, then a zero unit; row 0 is all zero."""
         n = self.length
         _check_units(len(index), n)
         rows = self._windows[np.asarray(index, dtype=np.intp) - 1]

@@ -10,6 +10,7 @@ the lookup.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,7 @@ class SymbolicField:
     """Coefficient maps {sequence index: complex} for modes 0 and 1.
 
     Zero coefficients are never stored; an empty pair of maps is the zero
-    field.
+    field. A coefficient that is not finite is refused.
     """
 
     mode0: dict[int, complex] = field(default_factory=dict)
@@ -33,6 +34,9 @@ class SymbolicField:
     def __post_init__(self):
         self.mode0 = {_as_int(j): complex(c) for j, c in self.mode0.items() if complex(c)}
         self.mode1 = {_as_int(j): complex(c) for j, c in self.mode1.items() if complex(c)}
+        for c in (*self.mode0.values(), *self.mode1.values()):
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficients must be finite, got {c!r}")
 
     def indices(self) -> set[int]:
         """All sequence indices present on either mode."""

@@ -127,6 +127,15 @@ def test_period_from_state_needs_f_bits_inside_the_state():
             period_from_state(ghz, f_bits)
 
 
+def test_period_from_state_reads_f_bits_by_the_integer_rule():
+    ghz = SimulatedState(3, {"000": 1, "111": 1})
+    assert period_from_state(ghz, 2.0) == period_from_state(ghz, "2") == 2
+    # True once counted 1-bit suffixes, and 1.5 failed in slicing
+    for f_bits in (True, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="expected an integer"):
+            period_from_state(ghz, f_bits)
+
+
 def test_shor_result_state_is_built_on_first_access(set4):
     result = shor_factor(ShorInstance(15, 7), set4)
     assert "state" not in vars(result)

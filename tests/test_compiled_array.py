@@ -22,10 +22,12 @@ from ppsim import (
     bell_array,
     compile_placement,
     ghz_array,
+    reconstruct,
     shor_factor,
     typical_state,
     w_array,
 )
+from ppsim.placement import _place
 
 _PAIRS = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
 # signed zeros and the imaginary part of e^{i pi} are where an extra
@@ -153,3 +155,35 @@ def test_pipelines_build_no_node_graph(monkeypatch, set4):
     assert built == []
     assert ghz_array(3).node_counts()["ModeGate"] == 6  # reading the graph spells it
     assert len(built) == 1
+
+
+@st.composite
+def _placements(draw):
+    n = draw(st.integers(1, 8) | st.integers(63, 70))
+    count = draw(st.integers(1, 6))
+    kets = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=count, max_size=count))
+    rotations = draw(st.lists(st.integers(1, n), min_size=count, max_size=count))
+    signs = draw(st.lists(st.sampled_from((-1, 1)), min_size=count, max_size=count))
+    return n, kets, rotations, signs
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_placements())
+def test_place_writes_each_ket_on_its_rotation(placement):
+    n, kets, rotations, signs = placement
+    cells = np.zeros((n, n, 2), dtype=np.int8)
+    for ket, r in zip(kets, rotations):  # field 1 reads the ket's MSB
+        for i in range(n):
+            cells[i, (i + r - 1) % n, (ket >> (n - 1 - i)) & 1] = 1
+    for ket, r, sign in zip(kets, rotations, signs):
+        cells[n - 1, (n + r - 2) % n, ket & 1] = sign
+    assert np.array_equal(_place(n, kets, rotations, signs).cells, cells)
+    assert np.array_equal(_place(n, kets, rotations).cells, np.abs(cells))
+
+
+@pytest.mark.parametrize(
+    "variant, state", [("psi+", "|00> + |11>"), ("psi-", "|00> - |11>"),
+                       ("phi+", "|01> + |10>"), ("phi-", "|01> - |10>")],
+)
+def test_bell_tables_carry_their_kets(variant, state):
+    assert reconstruct(bell_array(variant).table).pretty() == state

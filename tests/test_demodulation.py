@@ -57,6 +57,22 @@ def test_quantize_thresholds():
     assert quantize(0.3, tau=0.25) == 1
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        float("nan"),
+        float("inf"),
+        complex(0.9, float("nan")),
+        np.array([0.9, float("nan")]),
+        np.array([[float("-inf"), 0.0]]),
+    ],
+)
+def test_quantize_refuses_non_finite_raws(raw):
+    # NaN once quantized to an empty cell, and [nan, inf] to [0, 1]
+    with pytest.raises(ValueError, match="raw correlations must be finite"):
+        quantize(raw)
+
+
 def test_mode_status_and_strings(set3):
     fld = make_single_pps_field(set3, 2, mode_weights=(1.0, -1.0))
     status = mode_status(fld, set3.sequence(2))

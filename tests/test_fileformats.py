@@ -408,3 +408,11 @@ def test_integral_numbers_load_as_before(tmp_path):
     path.write_text(json.dumps(_circuit("fanout", 2.0)))
     split = load_circuit(path).nodes["s"]
     assert split.fanout == 2 and type(split.fanout) is int
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_symbolic_field_file_with_non_finite_coefficient(tmp_path, value):
+    path = tmp_path / "sym.json"
+    path.write_text(f'{{"mode0": [{{"pps": 1, "re": {value}, "im": 0.0}}], "mode1": []}}')
+    with pytest.raises(FormatError, match="bad symbolic field file .*must be finite"):
+        load_symbolic_field(path)

@@ -1,6 +1,7 @@
 """The shared sign grid and the one rotation scan, against plain per-cell scans."""
 import itertools
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -256,3 +257,33 @@ def test_matrix_matches_per_cell_demodulation():
                 got = matrix.status(i, j)
                 assert got.pair == expect.pair
                 assert got.raw == pytest.approx(expect.raw, abs=1e-12)
+
+
+
+@pytest.mark.parametrize(
+    "cells, refused",
+    [
+        (np.ones((2, 2, 2), dtype=np.int64), None),
+        (np.array([[[1.0, -1.0]]]), None),
+        (np.array([[[0.5, 0.0]]]), ValueError),
+        (np.array([[[2, 0]]]), ValueError),
+        (np.ones((1, 1, 2), dtype=bool), None),
+        (np.array([[[1 + 0j, 0j]]]), np.exceptions.ComplexWarning),  # from the int8 cast
+        (np.array([[[1j, 0j]]]), ValueError),
+        (np.array([[[1, 0]]], dtype=object), None),
+        (np.array([[[1, "x"]]], dtype=object), ValueError),
+        (np.array([[["1", "0"]]]), ValueError),
+        (np.array([[[b"1", b"0"]]]), ValueError),
+        (np.array([[[np.nan, 0.0]]]), ValueError),
+    ],
+    ids=["int", "float", "half", "two", "bool", "complex-real", "complex", "object",
+         "object-str", "str", "bytes", "nan"],
+)
+def test_sign_grid_cell_verdicts_with_warnings_as_errors(cells, refused):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if refused is None:
+            assert np.array_equal(SignGrid(cells).cells, cells.astype(np.int8))
+        else:
+            with pytest.raises(refused, match="cell entries" if refused is ValueError else None):
+                SignGrid(cells)

@@ -101,3 +101,12 @@ def test_to_waveform_linearity(set3):
     direct = to_waveform(summed, set3).samples
     composed = scale * to_waveform(f, set3).samples + to_waveform(g, set3).samples
     assert np.abs(direct - composed).max() < 1e-12
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), complex(1, float("nan"))])
+def test_symbolic_field_refuses_non_finite_coefficients(bad):
+    # a NaN would otherwise be stored and read back by symbolic_demodulate
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        SymbolicField(mode0={1: bad})
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        SymbolicField(mode0={1: 1.0}, mode1={2: bad})
