@@ -16,14 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demod import DEFAULT_THRESHOLD, ModeStatusMatrix, SignGrid, mode_status_matrix
+from .demod import DEFAULT_THRESHOLD, ModeStatusMatrix, SignGrid, _slab_matrix, mode_status_matrix
 from .errors import (
     DimensionMismatchError,
     PeriodUnusableError,
     StateTooLargeError,
     _as_int,
 )
-from .fields import ClassicalField, canonical_inputs
+from .fields import ClassicalField, _fields_of, _input_slab, canonical_inputs
 from .gates import GateArray, apply_mode_gate, w_array
 from .placement import (
     BELL_VARIANTS,
@@ -276,13 +276,18 @@ def grover_search(
     return GroverResult(witness is not None, witness, matrix)
 
 
-@dataclass
+@dataclass(eq=False)
 class TypicalState:
-    """Builder output: the fields, their status matrix, and the state."""
+    """Builder output: the fields as one (N, n, 2) slot-major slab, their
+    status matrix, and the state; `fields` views the slab on first access."""
 
-    fields: list[ClassicalField]
+    slab: np.ndarray
     matrix: ModeStatusMatrix
     state: SimulatedState
+
+    @functools.cached_property
+    def fields(self) -> list[ClassicalField]:
+        return _fields_of(self.slab)
 
 
 TYPICAL_KINDS = ("product", *BELL_VARIANTS, "ghz", "w")
@@ -293,12 +298,12 @@ def typical_state(kind: str, pset: PpsSet, n: int | None = None) -> TypicalState
 
     `kind` is one of product / psi+ / psi- / phi+ / phi- / ghz / w; `n`
     sets the field count for product, ghz, and w (defaults 2, 3, 3); the
-    paired states take only n = 2.
+    paired states take only n = 2. The fields stay one slab throughout.
     """
     array = builder_for(kind, n)
-    outputs = array.run(canonical_inputs(pset, array.input_count))
-    matrix = mode_status_matrix(outputs, pset=pset)
-    return TypicalState(outputs, matrix, reconstruct(matrix))
+    slab = array._run_slab(_input_slab(pset, array.input_count))
+    matrix = _slab_matrix(slab, pset, DEFAULT_THRESHOLD)
+    return TypicalState(slab, matrix, reconstruct(matrix))
 
 
 def builder_for(kind: str, n: int | None = None) -> CompiledArray | GateArray:

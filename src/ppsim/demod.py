@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .fields import MODE0, MODE1, ClassicalField
+from .fields import MODE0, MODE1, ClassicalField, _field_slab
 from .sequences import PpsSet, bit_carriers, correlate
 
 DEFAULT_THRESHOLD = 0.5
@@ -34,8 +34,11 @@ def quantize(raw, tau: float = DEFAULT_THRESHOLD):
     A scalar gives an int; an array gives an int8 array of the same shape.
     The threshold must be positive and finite: a zero, negative or NaN tau
     would call empty cells occupied, an infinite one every cell empty. A
-    non-finite raw has no sign to read and is refused too.
+    bool is not a threshold (True would read as 1). A non-finite raw has no
+    sign to read and is refused too.
     """
+    if isinstance(tau, (bool, np.bool_)):
+        raise ValueError(f"threshold tau must be a number, got {tau!r}")
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"threshold tau must be positive and finite, got {tau!r}")
     if not np.isfinite(raw).all():
@@ -187,31 +190,34 @@ def mode_status_matrix(
         raise TypeError("pass refs or pset, not both")
     if isinstance(refs, PpsSet) or (pset is not None and not isinstance(pset, PpsSet)):
         raise TypeError("refs takes carrier rows and pset a sequence set")
-    if not fields or (pset is None and (refs is None or len(refs) == 0)):
+    slab = _field_slab(fields)
+    if pset is None and (refs is None or len(refs) == 0):
         raise DimensionMismatchError("need at least one field and one reference")
-    if pset is not None:
-        if len(fields) > pset.usable_count:
+    return _slab_matrix(slab, refs if pset is None else pset, tau)
+
+
+def _slab_matrix(slab: np.ndarray, refs, tau: float) -> ModeStatusMatrix:
+    """Status matrix of an (N, n, 2) field slab against carrier rows `refs`,
+    or against references 1..n of `refs` if it is a sequence set."""
+    slot_count, count = slab.shape[:2]
+    if isinstance(refs, PpsSet):
+        if count > refs.usable_count:
             raise DimensionMismatchError(
-                f"{len(fields)} fields but set has {pset.usable_count} usable references"
+                f"{count} fields but set has {refs.usable_count} usable references"
             )
-        rows = pset._rows(np.arange(1, len(fields) + 1))
-        carriers = bit_carriers(rows, pset.mapping_phase)
+        carriers = bit_carriers(refs._rows(np.arange(1, count + 1)), refs.mapping_phase)
     else:
         carriers = np.asarray(refs)
-    slot_count = fields[0].slot_count
-    if any(f.slot_count != slot_count for f in fields):
-        raise DimensionMismatchError("input fields differ in length")
     if carriers.ndim != 2:
         raise DimensionMismatchError(
             f"refs must be a 2-D array of carrier rows, got shape {carriers.shape}"
         )
     if carriers.shape[1] != slot_count:
         raise DimensionMismatchError("reference length differs from field length")
-    stack = np.stack([f.samples for f in fields], axis=1)  # (N, nf, 2)
     if slot_count == 1:  # einsum multiplies one-slot pairs without BLAS; keep its roundings
-        sums = np.einsum("kfm,rk->frm", stack, carriers.conj(), optimize=True)
+        sums = np.einsum("kfm,rk->frm", slab, carriers.conj(), optimize=True)
     else:  # one (nr, N) @ (N, nf * 2) product, read as (nf, nr, 2)
-        sums = carriers.conj() @ stack.reshape(slot_count, -1)
-        sums = sums.reshape(len(carriers), len(fields), 2).transpose(1, 0, 2)
+        sums = carriers.conj() @ slab.reshape(slot_count, -1)
+        sums = sums.reshape(len(carriers), count, 2).transpose(1, 0, 2)
     raw = sums / slot_count
     return ModeStatusMatrix(quantize(raw, tau), raw)

@@ -4,6 +4,7 @@ A field is N complex samples per mode, one sample per phase unit of the
 governing sequence set. The two orthogonal modes play the roles of |0> and
 |1>; modulation, rotations and combining act slotwise and are linear in
 the samples. The devices themselves are the gate-array nodes of ppsim.gates.
+Array runs and demodulation take n fields as one (N, n, 2) slot-major slab.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ class ClassicalField:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
+        samples = np.asarray(self.samples)
+        if samples.dtype.kind not in "iufc":  # bools and strings are not amplitudes
+            raise TypeError(f"field samples must be numbers, got dtype {samples.dtype}")
+        self.samples = samples.astype(np.complex128, copy=False)
         shape = self.samples.shape
         if len(shape) != 2 or shape[1] != 2 or shape[0] == 0:
             raise DimensionMismatchError(
@@ -52,8 +56,9 @@ def make_single_pps_field(
     return ClassicalField(np.stack([alpha * carrier, beta * carrier], axis=1))
 
 
-def canonical_inputs(pset: PpsSet, n: int) -> list[ClassicalField]:
-    """The standard gate-array inputs e^{i lambda^(k)} (|0> + |1>), k = 1..n."""
+def _input_slab(pset: PpsSet, n: int) -> np.ndarray:
+    """`canonical_inputs` as one (N, n, 2) slot-major slab: field k is
+    slab[:, k - 1]."""
     n = _as_int(n)
     if n < 0:
         raise ValueError(f"field count must be nonnegative, got {n}")
@@ -61,9 +66,34 @@ def canonical_inputs(pset: PpsSet, n: int) -> list[ClassicalField]:
         raise DimensionMismatchError(
             f"{n} fields requested but set has {pset.usable_count} usable sequences"
         )
-    rows = pset._rows(np.arange(1, n + 1))[:, :, None]
-    bits = np.broadcast_to(rows, rows.shape[:2] + (2,))  # one bit row, both modes
-    return [ClassicalField(samples) for samples in bit_carriers(bits, pset.mapping_phase)]
+    bits = np.repeat(pset._rows(np.arange(1, n + 1)).T[:, :, None], 2, axis=2)  # both modes
+    return bit_carriers(bits, pset.mapping_phase)
+
+
+def _fields_of(slab: np.ndarray) -> list[ClassicalField]:
+    """The fields of an (N, n, 2) slab, one view of it each."""
+    return [ClassicalField(slab[:, k]) for k in range(slab.shape[1])]
+
+
+def _field_slab(fields: list[ClassicalField], count: int | None = None) -> np.ndarray:
+    """Fields stacked slot-major, (N, len(fields), 2): `count` (if given)
+    ClassicalFields of one length, at least one."""
+    for fld in fields:
+        if not isinstance(fld, ClassicalField):
+            raise TypeError(f"expected ClassicalField objects, got {type(fld).__name__}")
+    if count is not None and len(fields) != count:
+        raise DimensionMismatchError(f"array has {count} inputs, got {len(fields)} fields")
+    if not fields:
+        raise DimensionMismatchError("need at least one field")
+    if len({f.slot_count for f in fields}) > 1:
+        raise DimensionMismatchError("input fields differ in length")
+    return np.stack([f.samples for f in fields], axis=1)
+
+
+def canonical_inputs(pset: PpsSet, n: int) -> list[ClassicalField]:
+    """The standard gate-array inputs e^{i lambda^(k)} (|0> + |1>), k = 1..n,
+    as views of one `_input_slab`."""
+    return _fields_of(_input_slab(pset, n))
 
 
 def modulate(fld: ClassicalField, carrier: np.ndarray) -> ClassicalField:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, _as_int
-from .fields import ClassicalField
+from .errors import _as_int
+from .fields import ClassicalField, _field_slab, _fields_of
 
 # transmission factors (mode 0, mode 1) per gate kind
 _GATE_MASKS = {
@@ -162,19 +162,6 @@ def _degrees(node: Node) -> tuple[int, int]:
     return (1, 1)
 
 
-def _check_inputs(inputs: list[ClassicalField], count: int) -> None:
-    """Refuse inputs that are not `count` fields of one length."""
-    for fld in inputs:
-        if not isinstance(fld, ClassicalField):
-            raise TypeError(
-                f"array inputs must be ClassicalField objects, got {type(fld).__name__}"
-            )
-    if len(inputs) != count:
-        raise DimensionMismatchError(f"array has {count} inputs, got {len(inputs)} fields")
-    if len({f.slot_count for f in inputs}) > 1:
-        raise DimensionMismatchError("input fields differ in length")
-
-
 @dataclass(eq=False)
 class GateArray:
     """Directed acyclic graph of processing nodes.
@@ -249,21 +236,21 @@ class GateArray:
 
     def run(self, inputs: list[ClassicalField]) -> list[ClassicalField]:
         """Propagate input fields through the graph; outputs by index."""
-        _check_inputs(inputs, self.input_count)
+        return _fields_of(self._run_slab(_field_slab(inputs, self.input_count)))
+
+    def _run_slab(self, slab: np.ndarray) -> np.ndarray:
+        """The (N, outputs, 2) slab of outputs of an (N, inputs, 2) input slab."""
         edge_values: list[np.ndarray | None] = [None] * len(self.edges)
-        results: list[ClassicalField | None] = [None] * self.output_count
+        out = np.empty((len(slab), self.output_count, 2), dtype=np.complex128)
         for nid in self._order:
             node = self.nodes[nid]
             taken = [edge_values[ei] for ei in self._in_edges[nid]]
             for ei in self._in_edges[nid]:
                 edge_values[ei] = None  # each edge has one reader: free it once read
             if isinstance(node, Input):
-                value = inputs[node.index].samples
+                value = slab[:, node.index]
             elif isinstance(node, Output):
-                # an Input's array is the caller's; every other one is fresh
-                (ei,) = self._in_edges[nid]
-                held = isinstance(self.nodes[self.edges[ei][0]], Input)
-                results[node.index] = ClassicalField(taken[0].copy() if held else taken[0])
+                out[:, node.index] = taken[0]
                 continue
             elif isinstance(node, Split):
                 for gain, ei in zip(node.branch_gains(), self._out_edges[nid]):
@@ -280,7 +267,7 @@ class GateArray:
                 for more in taken[1:]:
                     value += more
             edge_values[self._out_edges[nid][0]] = value
-        return results
+        return out
 
 
 def w_array(n: int = 3) -> GateArray:

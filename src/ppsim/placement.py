@@ -16,7 +16,7 @@ import numpy as np
 
 from .demod import SignGrid
 from .errors import DimensionMismatchError, _as_int
-from .fields import ClassicalField
+from .fields import ClassicalField, _field_slab, _fields_of
 from .gates import (
     _GATE_MASKS,
     GATE_KINDS,
@@ -28,13 +28,13 @@ from .gates import (
     Output,
     PhaseFlip,
     Split,
-    _check_inputs,
 )
 from .reconstruct import rotation_columns
 from .sequences import PpsSet
 
 _MASK_ROWS = np.array(list(_GATE_MASKS.values()))  # indexed like GATE_KINDS
 _A, _B, _C, _D = range(len(GATE_KINDS))
+_BLOCK = 1 << 14  # slots times fields of one block of a compiled run
 
 
 @dataclass(eq=False)
@@ -201,46 +201,60 @@ class CompiledArray:
         """Node tally by kind name of the spelled graph (resource accounting)."""
         return self._graph.node_counts()
 
+    @functools.cached_property
+    def _depths(self) -> tuple[np.ndarray, list[tuple]]:
+        """(rank, steps). Rows are ordered by term count, most first (stable),
+        and rank[i] is row i's place in that order. Per tap depth d, steps[d]
+        is the (bus, mask, split, flip) of term d of each row of more than d
+        terms, in that order: a prefix of it. split and flip are None where
+        no such term has them."""
+        n = self.table.size
+        # by row; the sort is stable, so a row's taps keep their creation order
+        row, bus, kind, flip = self.taps[np.argsort(self.taps[:, 0], kind="stable")].T
+        counts = np.bincount(row, minlength=n)
+        split = np.bincount(bus, minlength=n)[bus] > 1
+        order = np.argsort(-counts, kind="stable")
+        first = np.cumsum(counts) - counts  # each row's first tap
+        steps = []
+        for d in range(counts.max()):
+            taps = first[order[: np.count_nonzero(counts > d)]] + d
+            wheres = [w if w.any() else None for w in (split[taps, None], flip[taps, None] == 1)]
+            steps.append((bus[taps], _MASK_ROWS[kind[taps]], *wheres))
+        return np.argsort(order), steps
+
     def run(self, inputs: list[ClassicalField]) -> list[ClassicalField]:
-        """The spelled graph's outputs, computed row by row from the taps.
+        """The spelled graph's outputs, computed from the taps (`_run_slab`)."""
+        return _fields_of(self._run_slab(_field_slab(inputs, self.input_count)))
+
+    def _run_slab(self, slab: np.ndarray) -> np.ndarray:
+        """The (N, n, 2) output slab of an (N, n, 2) input slab, one step per tap depth.
 
         A row's terms are its taps in creation order. A term is its bus's
         input, times 1.0 where the bus has several taps (the unit-gain
         split), times its gate's mask, negated if flipped; a row of several
         terms sums them from +0 in that order (the combiner), and a row of
-        one is its term.
+        one is its term. Slots go in blocks, so temporaries stay cache-sized.
         """
-        _check_inputs(inputs, self.input_count)
-        n = self.input_count
-        samples = [fld.samples for fld in inputs]
-        rows, buses = self.taps[:, 0].tolist(), self.taps[:, 1].tolist()
-        counts, fanout = [0] * n, [0] * n  # terms per row, taps per bus
-        for i, j in zip(rows, buses):
-            counts[i] += 1
-            fanout[j] += 1
-        # by row; the sort is stable, so a row's taps keep their creation order
-        row, bus, kind, flip = self.taps[sorted(range(len(rows)), key=rows.__getitem__)].T
-        split = (np.array(fanout)[bus] > 1)[:, None, None]
-        masks = _MASK_ROWS[kind][:, None, :]
-        flip = flip.astype(bool)[:, None, None]
-        picks = bus.tolist()
-        out = np.empty((n, len(samples[0]), 2), dtype=np.complex128)
-        terms = np.empty((max(counts),) + out.shape[1:], dtype=np.complex128)
-        stop = 0
-        for i, count in enumerate(counts):
-            start, stop = stop, stop + count
-            values = terms[:count]
-            np.stack([samples[j] for j in picks[start:stop]], out=values)
-            np.multiply(values, 1.0, out=values, where=split[start:stop])
-            np.multiply(values, masks[start:stop], out=values)
-            np.negative(values, out=values, where=flip[start:stop])
-            if count == 1:
-                out[i] = values[0]
-                continue
-            np.add(values[0], 0.0, out=out[i])
-            for value in values[1:]:
-                out[i] += value
-        return [ClassicalField(fld) for fld in out]
+        rank, steps = self._depths
+        out = np.empty(slab.shape, dtype=np.complex128)
+        width = max(1, _BLOCK // slab.shape[1])
+        for lo in range(0, len(slab), width):
+            part = slab[lo : lo + width]
+            for depth, (bus, masks, split, flip) in enumerate(steps):
+                values = np.take(part, bus, axis=1)
+                if split is not None:
+                    np.multiply(values, 1.0, out=values, where=split)
+                np.multiply(values, masks, out=values)
+                if flip is not None:
+                    np.negative(values, out=values, where=flip)
+                if depth:
+                    terms[:, : len(bus)] += values
+                    continue
+                terms = values
+                if len(steps) > 1:  # rows of several terms sum from +0
+                    terms[:, : len(steps[1][0])] += 0.0
+            np.take(terms, rank, axis=1, out=out[lo : lo + width], mode="clip")
+        return out
 
 
 def _msb_bits(values, width: int) -> np.ndarray:

@@ -204,3 +204,33 @@ def test_matrix_refs_must_be_rows(set3):
         mode_status_matrix(fields, refs=set3.sequence(1))
     with pytest.raises(DimensionMismatchError, match="reference length differs"):
         mode_status_matrix(fields, refs=[set3.sequence(1)[:-1]])
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [np.zeros((8, 2)), np.zeros((2, 8, 2)), [np.zeros((8, 2))], (np.zeros((8, 2)),), "ab"],
+)
+def test_matrix_refuses_what_is_not_fields(set3, fields):
+    # a bare ndarray once gave numpy's ambiguous-truth ValueError, a list of
+    # arrays an AttributeError on slot_count
+    with pytest.raises(TypeError, match="ClassicalField"):
+        mode_status_matrix(fields, pset=set3)
+    with pytest.raises(TypeError, match="ClassicalField"):
+        mode_status_matrix(fields, refs=[set3.sequence(1)])
+
+
+@pytest.mark.parametrize("tau", [True, False, np.True_])
+def test_bool_threshold_rejected(set3, set4, tau):
+    from ppsim import GroverDatabase, ShorInstance, grover_search, shor_factor
+
+    # quantize(0.7, True) once read True as tau = 1 and returned 0
+    with pytest.raises(ValueError, match="threshold tau"):
+        quantize(0.7, tau)
+    outputs = bell_array("psi+").run(canonical_inputs(set3, 2))
+    with pytest.raises(ValueError, match="threshold tau"):
+        mode_status_matrix(outputs, pset=set3, tau=tau)
+    with pytest.raises(ValueError, match="threshold tau"):
+        shor_factor(ShorInstance(15, 7), set4, tau=tau)
+    with pytest.raises(ValueError, match="threshold tau"):
+        grover_search(GroverDatabase(3, [5], {5: 1}), 5, set3, tau=tau)
+    assert quantize(0.7, 1) == 0 and quantize(0.7, np.float64(0.5)) == 1

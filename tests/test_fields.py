@@ -133,3 +133,26 @@ def test_unitary_rejects_nonfinite_parameters(chi, theta):
     # NaN compares false, so the unitarity check alone let Unitary(nan, 0) pass
     with pytest.raises(ValueError, match="finite"):
         Unitary(chi, theta)
+
+
+@pytest.mark.parametrize(
+    "samples",
+    [
+        np.array([["1", "2"]]),
+        np.array([[b"1", b"2"]]),
+        np.array([[True, False]]),
+        [[1, "2"]],
+        np.array([[1, 2]], dtype=object),
+    ],
+)
+def test_field_refuses_samples_that_are_not_numbers(samples):
+    # string samples were once parsed into complex numbers, bools read as 0/1
+    with pytest.raises(TypeError, match="field samples must be numbers"):
+        ClassicalField(samples)
+
+
+def test_field_takes_integer_real_and_complex_samples():
+    for dtype in (np.int8, np.uint16, np.int64, np.float32, np.float64, np.complex64):
+        fld = ClassicalField(np.ones((3, 2), dtype=dtype))
+        assert fld.samples.dtype == np.complex128 and (fld.samples == 1).all()
+    assert ClassicalField([[1, 2j]]).samples.tolist() == [[1, 2j]]
