@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
 """Database membership by gated demodulation.
 
-Thirteen 8-bit entries are encoded once: field k carries the rotated
-sequence for an entry on the mode selected by the entry's k-th bit. A
-query then gates each field by its own bits and demodulates. A member
-lights up one full diagonal of the status matrix (its rotation); a
-non-member leaves every diagonal broken. One encoding serves every
-query, only the gate settings change.
+Thirteen 8-bit entries are written onto a placement table: field k carries
+the rotated sequence for an entry on the mode selected by the entry's
+k-th bit. A query sets the mode gates by its own bits; they sit on the
+taps of the compiled table (field k keeps only the mode of query bit k),
+which runs and demodulates like the factoring table. A member lights up
+one full diagonal of the status matrix (its rotation); a non-member
+leaves every diagonal broken. One table serves every query, only the
+gate settings change.
 """
 from ppsim import GroverDatabase, build_pps_set, grover_search
 

@@ -1,11 +1,14 @@
 """End-to-end simulations: typical states, factoring, and membership search.
 
 The factoring pipeline encodes x and f(x) = a^x mod N bit-by-bit onto
-placement-table cells, one cyclic rotation per residue class of f, then
-runs encode -> compile -> run -> demodulate and reads the period off the
-usable diagonals of the status grid. The membership pipeline stores each
-database entry on one rotation and tests a query by gating every field to
-the query's bit pattern and looking for a rotation whose statuses survive.
+placement-table cells, one cyclic rotation per residue class of f. The
+membership pipeline writes each database entry onto one rotation of a
+placement table the same way, and folds the query's mode gates into the
+table: the gates sit on the taps, so row k keeps only mode bit_k(query).
+Both then run one stage, compile -> canonical inputs -> run -> demodulate,
+and read the usable diagonals of the status grid: the period, or the
+rotation whose statuses all survive the gates. The symbolic model
+(`grover_symbolic`, `to_waveform`) is kept as the search oracle only.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .errors import (
     _as_int,
 )
 from .fields import ClassicalField, _fields_of, _input_slab, canonical_inputs
-from .gates import GateArray, apply_mode_gate, w_array
+from .gates import GateArray, w_array
 from .placement import (
     BELL_VARIANTS,
     CompiledArray,
@@ -47,7 +50,7 @@ from .reconstruct import (
     usable_rotations,
 )
 from .sequences import PpsSet
-from .symbolic import SymbolicField, to_waveform
+from .symbolic import SymbolicField
 
 
 @dataclass
@@ -161,10 +164,7 @@ def shor_factor(
     (mod modulus), or a trivial gcd, aborts with the retry error. The
     state itself is reconstructed on first access to `result.state`.
     """
-    table = shor_encode(inst, pset)
-    array = compile_placement(table, pset)
-    outputs = array.run(canonical_inputs(pset, inst.register_width))
-    matrix = mode_status_matrix(outputs, pset=pset, tau=tau)
+    matrix = _table_matrix(shor_encode(inst, pset), pset, tau)
     period = _period_from_grid(matrix, inst.f_bits)
     if period % 2:
         raise PeriodUnusableError("period unusable, retry with different a")
@@ -175,6 +175,37 @@ def shor_factor(
     if factors[0] <= 1 or factors[1] >= inst.modulus:
         raise PeriodUnusableError("period unusable, retry with different a")
     return ShorResult(factors, period, matrix)
+
+
+def _refuse_correlated(pset: PpsSet) -> None:
+    """Raise unless distinct references of `pset` are orthogonal.
+
+    Two distinct sequences differ on half their units, a quarter each way,
+    so their carriers correlate to g = (1 + cos phi)/2 under mapping phase
+    phi. Only g = 0 (pi) lets each cell's raw read its own sequence alone;
+    any other g leaks every occupied cell into the rest of its row.
+    """
+    g = (1 + math.cos(pset.mapping_phase)) / 2
+    if g:
+        raise ValueError(
+            f"mapping phase {pset.mapping_phase!r} correlates distinct sequences"
+            f" (g = {g:.3g}); the pipelines need the orthogonal pi mapping"
+        )
+
+
+def _table_matrix(table: PlacementTable, pset: PpsSet, tau: float) -> ModeStatusMatrix:
+    """The stage factoring and search share: compile the table, run the
+    canonical inputs through it and demodulate the outputs.
+
+    A placed cell demodulates to exactly +-1 under pi, so a tau above 1
+    would call every cell empty: it is refused, as is a set whose distinct
+    references correlate.
+    """
+    if tau > 1:
+        raise ValueError(f"threshold tau must be at most 1, got {tau!r}")
+    _refuse_correlated(pset)
+    outputs = compile_placement(table, pset).run(canonical_inputs(pset, table.size))
+    return mode_status_matrix(outputs, pset=pset, tau=tau)
 
 
 @dataclass
@@ -232,13 +263,27 @@ def grover_symbolic(db: GroverDatabase) -> list[SymbolicField]:
     return fields
 
 
+def _database_table(db: GroverDatabase) -> PlacementTable:
+    """Placement table of the database: entry x rides its rotation (`_place`)."""
+    return _place(db.width, db.entries, list(db.assignment().values()))
+
+
+def _search_table(db: GroverDatabase, query: int) -> PlacementTable:
+    """The database table behind the query's mode gates.
+
+    Field k passes gate B (mode 0) for query bit 0 and gate C (mode 1) for
+    bit 1. A gate on a field's output distributes over its combiner, so it
+    sits on the row's taps instead: row k clears mode 1 - bit_k(query).
+    """
+    keep = np.eye(2, dtype=np.int8)[_msb_bits([query], db.width)[0]]  # [k, mode]
+    return PlacementTable(_database_table(db).cells * keep[:, None])
+
+
 def grover_encode(db: GroverDatabase, pset: PpsSet) -> list[ClassicalField]:
-    """Sampled-waveform realization of the encoded database fields."""
-    if db.width > pset.usable_count:
-        raise DimensionMismatchError(
-            f"database needs {db.width} sequences, set provides {pset.usable_count}"
-        )
-    return [to_waveform(sf, pset) for sf in grover_symbolic(db)]
+    """Sampled-waveform realization of the encoded database fields: the
+    canonical inputs run through the compiled database table."""
+    array = compile_placement(_database_table(db), pset)
+    return array.run(canonical_inputs(pset, db.width))
 
 
 @dataclass
@@ -256,21 +301,18 @@ def grover_search(
     pset: PpsSet,
     tau: float = DEFAULT_THRESHOLD,
 ) -> GroverResult:
-    """Test a query by mode-gating the encoded fields to its bit pattern.
+    """Test a query by running the database table behind its mode gates.
 
-    Query bit 0 keeps mode 0 (gate B), bit 1 keeps mode 1 (gate C). The
-    query is a member iff some rotation R_r leaves a nonzero status at
-    every cell (i, R_r(i)); the witness is the first such rotation.
+    Query bit 0 keeps mode 0 (gate B), bit 1 keeps mode 1 (gate C); the
+    gates sit on the table's taps (`_search_table`), which runs through the
+    factoring stage. The query is a member iff some rotation R_r leaves a
+    nonzero status at every cell (i, R_r(i)); the witness is the first such
+    rotation.
     """
     query = _as_int(query)
     if not 0 <= query < (1 << db.width):
         raise ValueError(f"query {query} does not fit in {db.width} bits")
-    encoded = grover_encode(db, pset)
-    gated = [
-        apply_mode_gate(fld, "C" if bit else "B")
-        for fld, bit in zip(encoded, _msb_bits([query], db.width)[0])
-    ]
-    matrix = mode_status_matrix(gated, pset=pset, tau=tau)
+    matrix = _table_matrix(_search_table(db, query), pset, tau)
     usable = usable_rotations(matrix)
     witness = int(usable[0]) if usable.size else None
     return GroverResult(witness is not None, witness, matrix)
@@ -298,9 +340,12 @@ def typical_state(kind: str, pset: PpsSet, n: int | None = None) -> TypicalState
 
     `kind` is one of product / psi+ / psi- / phi+ / phi- / ghz / w; `n`
     sets the field count for product, ghz, and w (defaults 2, 3, 3); the
-    paired states take only n = 2. The fields stay one slab throughout.
+    paired states take only n = 2. The fields stay one slab throughout. A
+    set whose distinct references correlate (mapping phase other than pi)
+    is refused.
     """
     array = builder_for(kind, n)
+    _refuse_correlated(pset)
     slab = array._run_slab(_input_slab(pset, array.input_count))
     matrix = _slab_matrix(slab, pset, DEFAULT_THRESHOLD)
     return TypicalState(slab, matrix, reconstruct(matrix))

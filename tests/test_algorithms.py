@@ -479,3 +479,45 @@ def test_bell_array_reads_the_same_names_as_builder_for(set3):
         want = [f.samples for f in bell_array(variant).run(inputs)]
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         assert builder_for(name).node_counts() == bell_array(variant).node_counts()
+
+
+@pytest.mark.parametrize("tau", [1.01, 2])
+def test_pipelines_refuse_a_threshold_above_one(set4, tau):
+    # a placed cell demodulates to exactly +-1: such a tau emptied every
+    # cell, so members read "not found" and 15/7 blamed its base
+    with pytest.raises(ValueError, match="threshold tau"):
+        shor_factor(ShorInstance(15, 7), set4, tau=tau)
+    db = search_reference().database
+    with pytest.raises(ValueError, match="threshold tau"):
+        grover_search(db, 148, set4, tau=tau)
+
+
+def test_pipelines_keep_a_threshold_of_one(set4):
+    assert shor_factor(ShorInstance(15, 7), set4, tau=1).factors == (3, 5)
+    db = search_reference().database
+    for entry in db.entries:
+        result = grover_search(db, entry, set4, tau=1.0)
+        assert result.found and result.witness == db.rotation_for(entry)
+    assert not grover_search(db, 240, set4, tau=1).found
+
+
+@pytest.mark.parametrize("mapping", ["pi/2", 0.75, 1.0])
+def test_pipelines_refuse_a_correlated_set(mapping):
+    # under these mappings all 243 non-members of this database read as
+    # found at degree 4, and 15/7 blamed its base
+    pset = build_pps_set(4, mapping_phase=mapping)
+    with pytest.raises(ValueError, match="mapping phase"):
+        typical_state("ghz", pset, 3)
+    with pytest.raises(ValueError, match="mapping phase"):
+        shor_factor(ShorInstance(15, 7), pset)
+    with pytest.raises(ValueError, match="mapping phase"):
+        grover_search(search_reference().database, 240, pset)
+
+
+def test_pipelines_run_where_the_cosine_is_exactly_minus_one(set4):
+    pset = build_pps_set(4, mapping_phase=np.nextafter(np.pi, 4))
+    assert pset.mapping_phase != np.pi
+    assert typical_state("ghz", pset, 3).state == typical_state("ghz", set4, 3).state
+    assert shor_factor(ShorInstance(15, 7), pset).factors == (3, 5)
+    db = search_reference().database
+    assert grover_search(db, 148, pset).witness == grover_search(db, 148, set4).witness

@@ -477,3 +477,21 @@ def test_degree16_set_from_the_command_line(tmp_path):
     proc = run_cli("shor", "--modulus", "15", "--base", "7", "--degree", "16")
     assert proc.returncode == 0, proc.stderr
     assert "factors: 3 5" in proc.stdout
+
+
+def test_threshold_above_one_is_exit_5(tmp_path):
+    # such a tau emptied every cell: a member read {"found": false} with
+    # exit 0, and 15/7 was told to retry with a different base
+    db_path = tmp_path / "db.json"
+    save_grover_db(search_reference().database, db_path)
+    for args in (
+        ("grover", "--db", db_path, "--query", "148", "--json"),
+        ("shor", "--modulus", "15", "--base", "7"),
+    ):
+        proc = run_cli(*args, "--tau", "2")
+        assert proc.returncode == 5, proc.stdout
+        assert proc.stdout == ""
+        assert "threshold tau" in proc.stderr
+        assert "period unusable" not in proc.stderr
+        kept = run_cli(*args, "--tau", "1")
+        assert kept.returncode == 0, kept.stderr

@@ -11,6 +11,7 @@ from ppsim import (
     Combine,
     CompiledArray,
     GateArray,
+    GroverDatabase,
     Input,
     ModeGate,
     ModeStatusMatrix,
@@ -22,11 +23,13 @@ from ppsim import (
     bell_array,
     compile_placement,
     ghz_array,
+    grover_search,
     reconstruct,
     shor_factor,
     typical_state,
     w_array,
 )
+from ppsim import algorithms, gates, symbolic
 from ppsim.placement import _place
 
 _PAIRS = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]
@@ -155,6 +158,33 @@ def test_pipelines_build_no_node_graph(monkeypatch, set4):
     assert built == []
     assert ghz_array(3).node_counts()["ModeGate"] == 6  # reading the graph spells it
     assert len(built) == 1
+
+
+def test_search_builds_no_node_graph_and_skips_the_oracle(monkeypatch, set4):
+    built = []
+    post_init = GateArray.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    def oracle(*args, **kwargs):
+        raise AssertionError("the search pipeline called its symbolic oracle")
+
+    monkeypatch.setattr(GateArray, "__post_init__", counting)
+    for module, name in (
+        (symbolic, "to_waveform"),
+        (gates, "apply_mode_gate"),
+        (algorithms, "to_waveform"),
+        (algorithms, "apply_mode_gate"),
+        (algorithms, "grover_symbolic"),
+        (algorithms, "grover_encode"),
+    ):
+        monkeypatch.setattr(module, name, oracle, raising=False)
+    db = GroverDatabase(8, [61, 63, 117, 125, 140, 142, 148, 212, 187, 59, 238, 247, 76])
+    assert grover_search(db, 148, set4).witness == 7
+    assert not grover_search(db, 240, set4).found
+    assert built == []
 
 
 @st.composite

@@ -19,13 +19,18 @@ from ppsim import (
     ShorInstance,
     StateTooLargeError,
     SymbolicField,
+    apply_mode_gate,
     build_pps_set,
+    grover_encode,
     grover_search,
     grover_symbolic,
+    mode_status_matrix,
     shor_encode,
+    to_waveform,
     usable_rotations,
 )
 from ppsim.reconstruct import rotation_columns
+from ppsim.sequences import degree_for
 
 
 def _column(i, r, n):
@@ -141,6 +146,38 @@ def _random_databases(seed=20):
 def test_grover_symbolic_matches_per_element_loop():
     for db in _random_databases():
         assert _items(grover_symbolic(db)) == _items(_reference_grover_symbolic(db))
+
+
+def _oracle_search(db, query, pset):
+    """The symbolic route: encoded fields, gated one by one, demodulated."""
+    gated = [
+        apply_mode_gate(to_waveform(sf, pset), "C" if _bit(query, k, db.width) else "B")
+        for k, sf in enumerate(grover_symbolic(db), start=1)
+    ]
+    matrix = mode_status_matrix(gated, pset=pset)
+    usable = usable_rotations(matrix)
+    return matrix, int(usable[0]) if usable.size else None
+
+
+def test_grover_search_matches_the_symbolic_oracle():
+    rng = random.Random(26)
+    searched = 0
+    for db in _random_databases():
+        pset = build_pps_set(degree_for(db.width))
+        for carriers in (pset, build_pps_set(pset.degree, mapping_phase="pi/2")):
+            encoded = grover_encode(db, carriers)
+            for fld, sf in zip(encoded, grover_symbolic(db), strict=True):
+                assert np.abs(fld.samples - to_waveform(sf, carriers).samples).max() <= 1e-12
+        drawn = (rng.getrandbits(db.width) for _ in range(12))
+        outside = [q for q in drawn if q not in db.entries][:3]
+        for query in [*db.entries[:3], *outside]:
+            result = grover_search(db, query, pset)
+            matrix, witness = _oracle_search(db, query, pset)
+            assert result.matrix.cells.tobytes() == matrix.cells.tobytes(), (db, query)
+            assert result.matrix.raw.tobytes() == matrix.raw.tobytes(), (db, query)
+            assert result.witness == witness and result.found == (witness is not None)
+            searched += 1
+    assert searched > 200
 
 
 def test_grover_symbolic_large_default_database():
