@@ -27,7 +27,7 @@ from .errors import (
     _as_int,
 )
 from .fields import ClassicalField, _fields_of, _input_slab, canonical_inputs
-from .gates import GateArray, w_array
+from .gates import WArray, w_array
 from .placement import (
     BELL_VARIANTS,
     CompiledArray,
@@ -351,8 +351,10 @@ def typical_state(kind: str, pset: PpsSet, n: int | None = None) -> TypicalState
     return TypicalState(slab, matrix, reconstruct(matrix))
 
 
-def builder_for(kind: str, n: int | None = None) -> CompiledArray | GateArray:
-    """The gate array a typical_state call would run, without running it."""
+def builder_for(kind: str, n: int | None = None) -> CompiledArray | WArray:
+    """The array a typical_state call would run, without running it: a
+    `CompiledArray`, or for W a `WArray`. Neither builds its node graph
+    until that is read."""
     token = _construction_name(kind)
     if token in BELL_VARIANTS:
         if n is not None and _as_int(n) != 2:

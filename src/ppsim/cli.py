@@ -94,6 +94,8 @@ def cmd_simulate(args: argparse.Namespace) -> None:
             raise _UsageError("--canonical requires --pps FILE")
         pset = load_pps_set(args.pps)
         fields = canonical_inputs(pset, args.canonical)
+        if not fields:
+            raise ValueError("--canonical needs at least one field, got 0")
     else:
         fields = load_fields(args.inputs)
     if args.circuit is not None:

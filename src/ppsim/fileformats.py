@@ -30,6 +30,7 @@ from .gates import (
     PhaseFlip,
     Split,
     Unitary,
+    WArray,
 )
 from .placement import CompiledArray, PlacementTable
 from .reconstruct import SimulatedState
@@ -297,8 +298,9 @@ def _node_from_obj(entry: dict) -> Node:
     return cls(*(read(v) for read, v in zip(readers.values(), values)))
 
 
-def save_circuit(array: CompiledArray | GateArray, path) -> None:
-    """Circuit JSON: node list (id, kind, parameters) plus [from, to] edges."""
+def save_circuit(array: CompiledArray | GateArray | WArray, path) -> None:
+    """Circuit JSON: node list (id, kind, parameters) plus [from, to] edges;
+    a compiled or W array is saved as the node graph it spells."""
     obj = {
         "nodes": [_node_obj(nid, node) for nid, node in array.nodes.items()],
         "edges": [[src, dst] for src, dst in array.edges],

@@ -3,8 +3,9 @@
 The node classes are the device model: mode gates, splits, unitary
 rotations, phase flips and combiners route classical two-mode fields. A
 `GateArray` is built by hand (node and edge lists) or loaded from a circuit
-file, and runs node by node; the W builder is such a hand-wired broadcast.
-Arrays compiled from placement tables live in ppsim.placement.
+file, and runs node by node. The W builder's `WArray` runs its hand-wired
+broadcast in one step and spells that graph only when read. Arrays compiled
+from placement tables live in ppsim.placement.
 
 Mode gate semantics: gate A blocks both modes, gate B passes only mode 0,
 gate C passes only mode 1, gate D passes both unchanged.
@@ -12,6 +13,7 @@ gate C passes only mode 1, gate D passes both unchanged.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -29,6 +31,7 @@ _GATE_MASKS = {
     "D": np.array([1.0, 1.0], dtype=np.complex128),
 }
 GATE_KINDS = tuple(_GATE_MASKS)
+_BLOCK = 1 << 14  # slots times fields of one block of a slab run
 
 
 def apply_mode_gate(fld: ClassicalField, kind: str) -> ClassicalField:
@@ -270,18 +273,21 @@ class GateArray:
         return out
 
 
-def w_array(n: int = 3) -> GateArray:
+def w_array(n: int = 3) -> WArray:
     """Single shared composition copied to n outputs through a split chain.
 
     One source field carries sequence 1 on mode 1 and sequences 2..n on
     mode 0; a chain of n-1 two-way splits delivers a copy to every output.
-    The W placement table has every cell occupied, so compiling it would
-    tap every bus from every row: 4,221 nodes at n = 63 (3,969 of them
-    gates), where this broadcast needs 4n = 252.
+    The result is a `WArray`, which runs that broadcast in one step. The W
+    placement table has every cell occupied, so compiling it would tap
+    every bus from every row: 4,221 nodes at n = 63 (3,969 of them gates),
+    where this broadcast's graph needs 4n = 252.
     """
-    n = _as_int(n)
-    if n < 2:
-        raise ValueError("need at least 2 fields")
+    return WArray(n)
+
+
+def _spell_w(n: int) -> GateArray:
+    """The node graph of the W broadcast: gates into one combiner, then splits."""
     nodes: dict[str, Node] = {}
     edges: list[tuple[str, str]] = []
     for i in range(1, n + 1):
@@ -304,3 +310,72 @@ def w_array(n: int = 3) -> GateArray:
     nodes[f"out{n}"] = Output(n - 1)
     edges.append((prev, f"out{n}"))
     return GateArray(nodes, edges)
+
+
+class _LazyGraphArray:
+    """An array that runs without its node graph (`_run_slab`): `nodes`,
+    `edges` and `node_counts()` read that graph, spelled by `_spell` as a
+    validated `GateArray` on first access."""
+
+    @functools.cached_property
+    def _graph(self) -> GateArray:
+        return self._spell()
+
+    @property
+    def nodes(self) -> dict[str, Node]:
+        return self._graph.nodes
+
+    @property
+    def edges(self) -> list[tuple[str, str]]:
+        return self._graph.edges
+
+    def node_counts(self) -> dict[str, int]:
+        """Node tally by kind name of the spelled graph (resource accounting)."""
+        return self._graph.node_counts()
+
+    def run(self, inputs: list[ClassicalField]) -> list[ClassicalField]:
+        """The spelled graph's outputs, byte for byte, computed by `_run_slab`."""
+        return _fields_of(self._run_slab(_field_slab(inputs, self.input_count)))
+
+
+@dataclass(eq=False)
+class WArray(_LazyGraphArray):
+    """The W broadcast on n fields: the graph `_spell_w(n)` spells, run as
+    one sum copied to every output."""
+
+    n: int
+
+    def __post_init__(self):
+        self.n = _as_int(self.n)
+        if self.n < 2:
+            raise ValueError("need at least 2 fields")
+
+    @property
+    def input_count(self) -> int:
+        return self.n
+
+    @property
+    def output_count(self) -> int:
+        return self.n
+
+    def _spell(self) -> GateArray:
+        return _spell_w(self.n)
+
+    def _run_slab(self, slab: np.ndarray) -> np.ndarray:
+        """The (N, n, 2) output slab of an (N, n, 2) input slab: the source in every output.
+
+        The source is input 1 through gate C plus inputs 2..n through gate
+        B, summed from +0 in that order (the combiner). It never holds a
+        -0, so each unit-gain split copies it exactly. Slots go in blocks,
+        so temporaries stay cache-sized.
+        """
+        masks = _GATE_MASKS["B"][None].repeat(self.n, axis=0)
+        masks[0] = _GATE_MASKS["C"]
+        out = np.empty(slab.shape, dtype=np.complex128)
+        width = max(1, _BLOCK // self.n)
+        for lo in range(0, len(slab), width):
+            terms = slab[lo : lo + width] * masks
+            terms[:, 0] += 0.0
+            np.add.accumulate(terms, axis=1, out=terms)
+            out[lo : lo + width] = terms[:, -1:]
+        return out

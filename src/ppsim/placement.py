@@ -16,8 +16,8 @@ import numpy as np
 
 from .demod import SignGrid
 from .errors import DimensionMismatchError, _as_int
-from .fields import ClassicalField, _field_slab, _fields_of
 from .gates import (
+    _BLOCK,
     _GATE_MASKS,
     GATE_KINDS,
     Combine,
@@ -28,13 +28,13 @@ from .gates import (
     Output,
     PhaseFlip,
     Split,
+    _LazyGraphArray,
 )
 from .reconstruct import rotation_columns
 from .sequences import PpsSet
 
 _MASK_ROWS = np.array(list(_GATE_MASKS.values()))  # indexed like GATE_KINDS
 _A, _B, _C, _D = range(len(GATE_KINDS))
-_BLOCK = 1 << 14  # slots times fields of one block of a compiled run
 
 
 @dataclass(eq=False)
@@ -153,15 +153,13 @@ def _spell_graph(n: int, chains: np.ndarray) -> GateArray:
 
 
 @dataclass(eq=False)
-class CompiledArray:
+class CompiledArray(_LazyGraphArray):
     """A placement table compiled into gate chains, run from its tap table.
 
     `taps` holds one (row, bus, kind, flip) entry per gate chain of
     compile_placement, 0-based, kind indexing GATE_KINDS, in creation
     order. `run` gives the outputs of the node graph those chains wire,
-    byte for byte, without building it. `nodes`, `edges` and
-    `node_counts()` read that graph, spelled from the taps as a validated
-    `GateArray` on first access.
+    byte for byte, without building it; the graph is spelled from the taps.
     """
 
     table: PlacementTable
@@ -185,21 +183,8 @@ class CompiledArray:
     def output_count(self) -> int:
         return self.table.size
 
-    @functools.cached_property
-    def _graph(self) -> GateArray:
+    def _spell(self) -> GateArray:
         return _spell_graph(self.table.size, self.taps)
-
-    @property
-    def nodes(self) -> dict[str, Node]:
-        return self._graph.nodes
-
-    @property
-    def edges(self) -> list[tuple[str, str]]:
-        return self._graph.edges
-
-    def node_counts(self) -> dict[str, int]:
-        """Node tally by kind name of the spelled graph (resource accounting)."""
-        return self._graph.node_counts()
 
     @functools.cached_property
     def _depths(self) -> tuple[np.ndarray, list[tuple]]:
@@ -221,10 +206,6 @@ class CompiledArray:
             wheres = [w if w.any() else None for w in (split[taps, None], flip[taps, None] == 1)]
             steps.append((bus[taps], _MASK_ROWS[kind[taps]], *wheres))
         return np.argsort(order), steps
-
-    def run(self, inputs: list[ClassicalField]) -> list[ClassicalField]:
-        """The spelled graph's outputs, computed from the taps (`_run_slab`)."""
-        return _fields_of(self._run_slab(_field_slab(inputs, self.input_count)))
 
     def _run_slab(self, slab: np.ndarray) -> np.ndarray:
         """The (N, n, 2) output slab of an (N, n, 2) input slab, one step per tap depth.

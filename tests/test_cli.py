@@ -109,6 +109,16 @@ def test_simulate_negative_canonical_count_exits_5(tmp_path, set3):
     assert "nonnegative" in proc.stderr
 
 
+def test_simulate_zero_canonical_count_exits_5(tmp_path, set3):
+    pps = tmp_path / "set.pps"
+    save_pps_set(set3, pps)
+    for extra in ((), ("--dump-fields", tmp_path / "out.json")):
+        proc = run_cli("simulate", "--canonical", "0", "--pps", pps, *extra)
+        assert proc.returncode == 5 and proc.stdout == ""
+        assert "at least one field" in proc.stderr
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_full_chain_bell_state(tmp_path, set3):
     pps = tmp_path / "set.pps"
     circuit = tmp_path / "bell.json"

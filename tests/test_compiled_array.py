@@ -1,6 +1,8 @@
 """Compiled arrays: runs from the tap table against the spelled node graph,
 the spelled graph itself, typed errors at the array boundary, and pipelines
 that build no node graph."""
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,10 +23,14 @@ from ppsim import (
     ShorInstance,
     Split,
     bell_array,
+    build_pps_set,
+    canonical_inputs,
     compile_placement,
     ghz_array,
     grover_search,
+    load_circuit,
     reconstruct,
+    save_circuit,
     shor_factor,
     typical_state,
     w_array,
@@ -158,6 +164,34 @@ def test_pipelines_build_no_node_graph(monkeypatch, set4):
     assert built == []
     assert ghz_array(3).node_counts()["ModeGate"] == 6  # reading the graph spells it
     assert len(built) == 1
+
+
+# sha256 over save_circuit(w_array(n)) for n = 2..63 in turn: the files the
+# W builder wrote when it returned the node graph itself
+_W_CIRCUITS_SHA256 = "b3a67598eaaeb630490b003c4a019d91920778d5d05a7b0b7db149b6e80444d3"
+
+
+def test_w_state_builds_no_node_graph_and_saves_the_same_circuit(monkeypatch, tmp_path, set4):
+    built = []
+    post_init = GateArray.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(GateArray, "__post_init__", counting)
+    assert typical_state("w", set4, 5).state.terms == {format(1 << k, "05b"): 1 for k in range(5)}
+    assert built == []
+    pset = build_pps_set(6)
+    digest = hashlib.sha256()
+    for n in range(2, 64):
+        path = tmp_path / f"w{n}.json"
+        save_circuit(w_array(n), path)
+        digest.update(path.read_bytes())
+        inputs = canonical_inputs(pset, n)
+        want = [f.samples.tobytes() for f in w_array(n).run(inputs)]
+        assert [f.samples.tobytes() for f in load_circuit(path).run(inputs)] == want
+    assert digest.hexdigest() == _W_CIRCUITS_SHA256
 
 
 def test_search_builds_no_node_graph_and_skips_the_oracle(monkeypatch, set4):

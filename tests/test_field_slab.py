@@ -1,7 +1,7 @@
 """The slot-major field slab: the typical-state path that carries one
 (N, n, 2) array from the canonical inputs to the demodulation equals the
-list path byte for byte, compiled runs equal the spelled graph whatever
-the slot blocking, and the slab path keeps its memory bound."""
+list path byte for byte, compiled and W runs equal the spelled graph
+whatever the slot blocking, and the slab path keeps its memory bound."""
 import functools
 import tracemalloc
 from unittest import mock
@@ -20,8 +20,9 @@ from ppsim import (
     compile_placement,
     mode_status_matrix,
     typical_state,
+    w_array,
 )
-from ppsim import placement
+from ppsim import gates, placement
 from ppsim.fields import _input_slab
 from ppsim.sequences import degree_for
 
@@ -84,6 +85,27 @@ def test_compiled_run_slab_equals_the_spelled_graph(set4, data, table):
         got = array._run_slab(slab)
     assert got.shape == slab.shape and got.flags.c_contiguous
     assert [got[:, k].tobytes() for k in range(n)] == want
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_w_broadcast_equals_the_spelled_graph(data):
+    n = data.draw(st.integers(2, 70))
+    slots = data.draw(st.integers(1, 9))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    # (re, im) pairs viewed as complex, so both parts carry signed zeros
+    slab = rng.choice(_PARTS, size=(slots, n, 2, 2)).view(np.complex128)[..., 0]
+    inputs = [ClassicalField(slab[:, k].copy()) for k in range(n)]
+    array = w_array(n)
+    want = [fld.samples.tobytes() for fld in GateArray(array.nodes, array.edges).run(inputs)]
+    # blocks of one slot, of a few, and of all of them
+    block = data.draw(st.sampled_from([1, n, 2 * n + 1, 3 * n, gates._BLOCK]))
+    with mock.patch.object(gates, "_BLOCK", block):
+        got = array._run_slab(slab)
+        fields = array.run(inputs)
+    assert got.shape == slab.shape and got.flags.c_contiguous
+    assert [got[:, k].tobytes() for k in range(n)] == want
+    assert [fld.samples.tobytes() for fld in fields] == want
 
 
 def test_typical_state_slab_peak_memory():
