@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .demod import DEFAULT_THRESHOLD, ModeStatusMatrix, SignGrid, _slab_matrix, mode_status_matrix
+from .demod import (
+    DEFAULT_THRESHOLD,
+    ModeStatusMatrix,
+    SignGrid,
+    _check_tau,
+    _slab_matrix,
+    mode_status_matrix,
+)
 from .errors import (
     DimensionMismatchError,
     PeriodUnusableError,
@@ -197,10 +204,12 @@ def _table_matrix(table: PlacementTable, pset: PpsSet, tau: float) -> ModeStatus
     """The stage factoring and search share: compile the table, run the
     canonical inputs through it and demodulate the outputs.
 
-    A placed cell demodulates to exactly +-1 under pi, so a tau above 1
-    would call every cell empty: it is refused, as is a set whose distinct
-    references correlate.
+    tau must first be a threshold at all (`quantize`'s rule). A placed
+    cell demodulates to exactly +-1 under pi, so a tau above 1 would call
+    every cell empty: it is refused, as is a set whose distinct references
+    correlate.
     """
+    _check_tau(tau)
     if tau > 1:
         raise ValueError(f"threshold tau must be at most 1, got {tau!r}")
     _refuse_correlated(pset)

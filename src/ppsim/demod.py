@@ -11,6 +11,7 @@ square case of the same grid.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 
@@ -28,19 +29,27 @@ def demodulate_mode(fld: ClassicalField, mode: int, ref: np.ndarray) -> complex:
     return correlate(fld.samples[:, mode], ref)
 
 
+def _check_tau(tau) -> None:
+    """Raise ValueError unless tau is a positive, finite real number.
+
+    A zero, negative or NaN tau would call empty cells occupied, an
+    infinite one every cell empty. A bool is not a threshold (True would
+    read as 1), nor is None, a string or a complex number.
+    """
+    if isinstance(tau, bool) or not isinstance(tau, numbers.Real):  # np.bool_ is not Real
+        raise ValueError(f"threshold tau must be a real number, got {tau!r}")
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"threshold tau must be positive and finite, got {tau!r}")
+
+
 def quantize(raw, tau: float = DEFAULT_THRESHOLD):
     """Map raw correlations to -1/0/+1 by thresholding their real parts.
 
     A scalar gives an int; an array gives an int8 array of the same shape.
-    The threshold must be positive and finite: a zero, negative or NaN tau
-    would call empty cells occupied, an infinite one every cell empty. A
-    bool is not a threshold (True would read as 1). A non-finite raw has no
-    sign to read and is refused too.
+    tau must pass `_check_tau`. A non-finite raw has no sign to read and is
+    refused too.
     """
-    if isinstance(tau, (bool, np.bool_)):
-        raise ValueError(f"threshold tau must be a number, got {tau!r}")
-    if not (math.isfinite(tau) and tau > 0):
-        raise ValueError(f"threshold tau must be positive and finite, got {tau!r}")
+    _check_tau(tau)
     if not np.isfinite(raw).all():
         raise ValueError("raw correlations must be finite")
     re_part = np.real(raw)
@@ -207,7 +216,12 @@ def _slab_matrix(slab: np.ndarray, refs, tau: float) -> ModeStatusMatrix:
             )
         carriers = bit_carriers(refs._rows(np.arange(1, count + 1)), refs.mapping_phase)
     else:
-        carriers = np.asarray(refs)
+        try:
+            carriers = np.asarray(refs)
+        except ValueError:  # numpy's "inhomogeneous shape"
+            raise DimensionMismatchError("carrier rows differ in length") from None
+        if carriers.dtype.kind not in "iufc":  # bools and strings are not amplitudes
+            raise TypeError(f"carrier rows must be numbers, got dtype {carriers.dtype}")
     if carriers.ndim != 2:
         raise DimensionMismatchError(
             f"refs must be a 2-D array of carrier rows, got shape {carriers.shape}"

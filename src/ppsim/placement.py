@@ -187,44 +187,49 @@ class CompiledArray(_LazyGraphArray):
         return _spell_graph(self.table.size, self.taps)
 
     @functools.cached_property
-    def _depths(self) -> tuple[np.ndarray, list[tuple]]:
-        """(rank, steps). Rows are ordered by term count, most first (stable),
-        and rank[i] is row i's place in that order. Per tap depth d, steps[d]
-        is the (bus, mask, split, flip) of term d of each row of more than d
-        terms, in that order: a prefix of it. split and flip are None where
-        no such term has them."""
+    def _depths(self) -> tuple[np.ndarray, np.ndarray, list[tuple]]:
+        """(rank, split, steps). Rows are ordered by term count, most first
+        (stable), and rank[i] is row i's place in that order. split[j] is
+        whether bus j has several taps. Per tap depth d, steps[d] is the
+        (bus, mask, flip) of term d of each row of more than d terms, in
+        that order: a prefix of it. flip is None where no such term has it."""
         n = self.table.size
         # by row; the sort is stable, so a row's taps keep their creation order
         row, bus, kind, flip = self.taps[np.argsort(self.taps[:, 0], kind="stable")].T
         counts = np.bincount(row, minlength=n)
-        split = np.bincount(bus, minlength=n)[bus] > 1
         order = np.argsort(-counts, kind="stable")
         first = np.cumsum(counts) - counts  # each row's first tap
         steps = []
         for d in range(counts.max()):
             taps = first[order[: np.count_nonzero(counts > d)]] + d
-            wheres = [w if w.any() else None for w in (split[taps, None], flip[taps, None] == 1)]
-            steps.append((bus[taps], _MASK_ROWS[kind[taps]], *wheres))
-        return np.argsort(order), steps
+            flips = flip[taps, None] == 1
+            steps.append((bus[taps], _MASK_ROWS[kind[taps]], flips if flips.any() else None))
+        return np.argsort(order), np.bincount(bus, minlength=n) > 1, steps
 
     def _run_slab(self, slab: np.ndarray) -> np.ndarray:
         """The (N, n, 2) output slab of an (N, n, 2) input slab, one step per tap depth.
 
-        A row's terms are its taps in creation order. A term is its bus's
-        input, times 1.0 where the bus has several taps (the unit-gain
-        split), times its gate's mask, negated if flipped; a row of several
-        terms sums them from +0 in that order (the combiner), and a row of
-        one is its term. Slots go in blocks, so temporaries stay cache-sized.
+        A bus with several taps is first multiplied by 1.0 (the unit-gain
+        split), once per block. A row's terms are its taps in creation
+        order. A term is its bus, times its gate's mask, negated if
+        flipped; a row of several terms sums them from +0 in that order
+        (the combiner), and a row of one is its term. Slots go in blocks,
+        so temporaries stay cache-sized.
         """
-        rank, steps = self._depths
+        rank, split, steps = self._depths
+        gain = split.any()
+        unsplit = None if split.all() else ~split[:, None]  # buses the gain skips
         out = np.empty(slab.shape, dtype=np.complex128)
         width = max(1, _BLOCK // slab.shape[1])
         for lo in range(0, len(slab), width):
             part = slab[lo : lo + width]
-            for depth, (bus, masks, split, flip) in enumerate(steps):
+            if gain:
+                gained = part * 1.0
+                if unsplit is not None:
+                    np.copyto(gained, part, where=unsplit)
+                part = gained
+            for depth, (bus, masks, flip) in enumerate(steps):
                 values = np.take(part, bus, axis=1)
-                if split is not None:
-                    np.multiply(values, 1.0, out=values, where=split)
                 np.multiply(values, masks, out=values)
                 if flip is not None:
                     np.negative(values, out=values, where=flip)

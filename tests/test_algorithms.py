@@ -25,6 +25,7 @@ from ppsim import (
     grover_symbolic,
     mode_status_matrix,
     period_from_state,
+    quantize,
     reconstruct,
     shor_encode,
     shor_factor,
@@ -490,6 +491,17 @@ def test_pipelines_refuse_a_threshold_above_one(set4, tau):
     db = search_reference().database
     with pytest.raises(ValueError, match="threshold tau"):
         grover_search(db, 148, set4, tau=tau)
+
+
+@pytest.mark.parametrize("tau", [None, "0.5", 0.5j])
+def test_pipelines_refuse_a_threshold_that_is_not_a_real_number(set4, tau):
+    # the "at most 1" comparison once ran first and raised "'>' not supported"
+    with pytest.raises(ValueError, match="threshold tau must be a real number"):
+        shor_factor(ShorInstance(15, 7), set4, tau=tau)
+    with pytest.raises(ValueError, match="threshold tau must be a real number"):
+        grover_search(search_reference().database, 148, set4, tau=tau)
+    with pytest.raises(ValueError, match="threshold tau must be a real number"):
+        quantize(0.7, tau)
 
 
 def test_pipelines_keep_a_threshold_of_one(set4):

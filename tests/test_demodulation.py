@@ -206,6 +206,28 @@ def test_matrix_refs_must_be_rows(set3):
         mode_status_matrix(fields, refs=[set3.sequence(1)[:-1]])
 
 
+def test_matrix_refs_of_ragged_rows_raise_a_dimension_error(set3):
+    # numpy's untyped "inhomogeneous shape" ValueError once escaped
+    fields = canonical_inputs(set3, 2)
+    with pytest.raises(DimensionMismatchError, match="differ in length"):
+        mode_status_matrix(fields, refs=[set3.sequence(1), set3.sequence(2)[:-1]])
+
+
+def test_matrix_refuses_bool_refs(set3):
+    # bool rows once demodulated to an all-empty grid
+    fields = canonical_inputs(set3, 2)
+    with pytest.raises(TypeError, match="carrier rows must be numbers"):
+        mode_status_matrix(fields, refs=np.ones((2, set3.length), dtype=bool))
+
+
+@pytest.mark.parametrize("unit", ["1", None, object()])
+def test_matrix_refuses_string_and_object_refs(set3, unit):
+    # these once failed in the product with "cannot conjugate non-numeric dtype"
+    fields = canonical_inputs(set3, 2)
+    with pytest.raises(TypeError, match="carrier rows must be numbers"):
+        mode_status_matrix(fields, refs=[[unit] * set3.length])
+
+
 @pytest.mark.parametrize(
     "fields",
     [np.zeros((8, 2)), np.zeros((2, 8, 2)), [np.zeros((8, 2))], (np.zeros((8, 2)),), "ab"],

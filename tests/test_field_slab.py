@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from ppsim import (
     TYPICAL_KINDS,
     ClassicalField,
+    CompiledArray,
     GateArray,
+    PlacementTable,
     build_pps_set,
     builder_for,
     canonical_inputs,
@@ -85,6 +87,23 @@ def test_compiled_run_slab_equals_the_spelled_graph(set4, data, table):
         got = array._run_slab(slab)
     assert got.shape == slab.shape and got.flags.c_contiguous
     assert [got[:, k].tobytes() for k in range(n)] == want
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(data=st.data())
+def test_compiled_run_of_wide_sparse_tables_over_several_blocks(data):
+    # about three taps per bus, so most buses split and some do not, over
+    # two to four blocks of the real size
+    n = data.draw(st.integers(20, 70))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    live = rng.random((n, n, 1)) < 3 / n
+    array = CompiledArray(PlacementTable(np.where(live, rng.integers(-1, 2, (n, n, 2)), 0)))
+    width = placement._BLOCK // n
+    slots = data.draw(st.integers(width + 1, 4 * width))
+    # (re, im) pairs viewed as complex, so both parts carry signed zeros
+    slab = rng.choice(_PARTS, size=(slots, n, 2, 2)).view(np.complex128)[..., 0]
+    want = GateArray(array.nodes, array.edges)._run_slab(slab)
+    assert array._run_slab(slab).tobytes() == want.tobytes()
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
