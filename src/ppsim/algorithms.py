@@ -5,10 +5,12 @@ placement-table cells, one cyclic rotation per residue class of f. The
 membership pipeline writes each database entry onto one rotation of a
 placement table the same way, and folds the query's mode gates into the
 table: the gates sit on the taps, so row k keeps only mode bit_k(query).
-Both then run one stage, compile -> canonical inputs -> run -> demodulate,
-and read the usable diagonals of the status grid: the period, or the
-rotation whose statuses all survive the gates. The symbolic model
-(`grover_symbolic`, `to_waveform`) is kept as the search oracle only.
+Every pipeline, typical states too, runs one stage (`_run_stage`): the
+canonical inputs as one (N, n, 2) slab through its array, then
+demodulation. Factoring and search then read the usable diagonals of the
+status grid: the period, or the rotation whose statuses all survive the
+gates. The symbolic model (`grover_symbolic`, `to_waveform`) is kept as the
+search oracle only.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .demod import (
     SignGrid,
     _check_tau,
     _slab_matrix,
-    mode_status_matrix,
 )
 from .errors import (
     DimensionMismatchError,
@@ -171,7 +172,7 @@ def shor_factor(
     (mod modulus), or a trivial gcd, aborts with the retry error. The
     state itself is reconstructed on first access to `result.state`.
     """
-    matrix = _table_matrix(shor_encode(inst, pset), pset, tau)
+    matrix = _run_stage(compile_placement(shor_encode(inst, pset), pset), pset, tau)[1]
     period = _period_from_grid(matrix, inst.f_bits)
     if period % 2:
         raise PeriodUnusableError("period unusable, retry with different a")
@@ -184,37 +185,32 @@ def shor_factor(
     return ShorResult(factors, period, matrix)
 
 
-def _refuse_correlated(pset: PpsSet) -> None:
-    """Raise unless distinct references of `pset` are orthogonal.
-
-    Two distinct sequences differ on half their units, a quarter each way,
-    so their carriers correlate to g = (1 + cos phi)/2 under mapping phase
-    phi. Only g = 0 (pi) lets each cell's raw read its own sequence alone;
-    any other g leaks every occupied cell into the rest of its row.
-    """
-    g = (1 + math.cos(pset.mapping_phase)) / 2
-    if g:
-        raise ValueError(
-            f"mapping phase {pset.mapping_phase!r} correlates distinct sequences"
-            f" (g = {g:.3g}); the pipelines need the orthogonal pi mapping"
-        )
-
-
-def _table_matrix(table: PlacementTable, pset: PpsSet, tau: float) -> ModeStatusMatrix:
-    """The stage factoring and search share: compile the table, run the
-    canonical inputs through it and demodulate the outputs.
+def _run_stage(
+    array: CompiledArray | WArray, pset: PpsSet, tau: float
+) -> tuple[np.ndarray, ModeStatusMatrix]:
+    """The stage every pipeline runs: the canonical inputs of `pset` as one
+    slab through `array`, then demodulated. Returns the output slab and its
+    status matrix.
 
     tau must first be a threshold at all (`quantize`'s rule). A placed
     cell demodulates to exactly +-1 under pi, so a tau above 1 would call
-    every cell empty: it is refused, as is a set whose distinct references
-    correlate.
+    every cell empty: it is refused. So is a set whose distinct references
+    correlate. Two distinct sequences differ on half their units, a quarter
+    each way, so their carriers correlate to g = (1 + cos phi)/2 under
+    mapping phase phi. Only g = 0 (pi) lets each cell's raw read its own
+    sequence alone; any other g leaks every occupied cell into the rest of
+    its row.
     """
     _check_tau(tau)
     if tau > 1:
         raise ValueError(f"threshold tau must be at most 1, got {tau!r}")
-    _refuse_correlated(pset)
-    outputs = compile_placement(table, pset).run(canonical_inputs(pset, table.size))
-    return mode_status_matrix(outputs, pset=pset, tau=tau)
+    if g := (1 + math.cos(pset.mapping_phase)) / 2:
+        raise ValueError(
+            f"mapping phase {pset.mapping_phase!r} correlates distinct sequences"
+            f" (g = {g:.3g}); the pipelines need the orthogonal pi mapping"
+        )
+    slab = array._run_slab(_input_slab(pset, array.input_count))
+    return slab, _slab_matrix(slab, pset, tau)
 
 
 @dataclass
@@ -241,7 +237,12 @@ class GroverDatabase:
             if not 0 <= x < (1 << self.width):
                 raise ValueError(f"entry {x} does not fit in {self.width} bits")
         if self.rotations is not None:
-            self.rotations = {_as_int(k): _as_int(r) for k, r in self.rotations.items()}
+            rotations = {}
+            for key, r in self.rotations.items():
+                if (x := _as_int(key)) in rotations:  # "61" and "061" are both 61
+                    raise ValueError(f"rotation map lists entry {x} twice")
+                rotations[x] = _as_int(r)
+            self.rotations = rotations
             missing = set(self.entries) - set(self.rotations)
             if missing:
                 raise ValueError(f"rotation map misses entries {sorted(missing)}")
@@ -314,14 +315,14 @@ def grover_search(
 
     Query bit 0 keeps mode 0 (gate B), bit 1 keeps mode 1 (gate C); the
     gates sit on the table's taps (`_search_table`), which runs through the
-    factoring stage. The query is a member iff some rotation R_r leaves a
-    nonzero status at every cell (i, R_r(i)); the witness is the first such
-    rotation.
+    stage every pipeline shares. The query is a member iff some rotation R_r
+    leaves a nonzero status at every cell (i, R_r(i)); the witness is the
+    first such rotation.
     """
     query = _as_int(query)
     if not 0 <= query < (1 << db.width):
         raise ValueError(f"query {query} does not fit in {db.width} bits")
-    matrix = _table_matrix(_search_table(db, query), pset, tau)
+    matrix = _run_stage(compile_placement(_search_table(db, query), pset), pset, tau)[1]
     usable = usable_rotations(matrix)
     witness = int(usable[0]) if usable.size else None
     return GroverResult(witness is not None, witness, matrix)
@@ -353,10 +354,7 @@ def typical_state(kind: str, pset: PpsSet, n: int | None = None) -> TypicalState
     set whose distinct references correlate (mapping phase other than pi)
     is refused.
     """
-    array = builder_for(kind, n)
-    _refuse_correlated(pset)
-    slab = array._run_slab(_input_slab(pset, array.input_count))
-    matrix = _slab_matrix(slab, pset, DEFAULT_THRESHOLD)
+    slab, matrix = _run_stage(builder_for(kind, n), pset, DEFAULT_THRESHOLD)
     return TypicalState(slab, matrix, reconstruct(matrix))
 
 

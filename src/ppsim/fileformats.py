@@ -311,7 +311,11 @@ def save_circuit(array: CompiledArray | GateArray | WArray, path) -> None:
 def load_circuit(path) -> GateArray:
     obj = _read_json(path)
     with _malformed(path, "bad circuit file", _CONTENT_ERRORS):
-        nodes = {str(entry["id"]): _node_from_obj(entry) for entry in obj["nodes"]}
+        nodes = {}
+        for entry in obj["nodes"]:
+            if (nid := str(entry["id"])) in nodes:
+                raise ValueError(f"node id {nid!r} listed twice")
+            nodes[nid] = _node_from_obj(entry)
         edges = [(str(src), str(dst)) for src, dst in obj["edges"]]
     with _malformed(path, "invalid circuit", ValueError):
         return GateArray(nodes, edges)
@@ -363,7 +367,4 @@ def load_grover_db(path) -> GroverDatabase:
         entries = tuple(_as_int(x) for x in obj["entries"])
         fallback = max(max((x.bit_length() for x in entries), default=1), 1)
         width = _as_int(obj.get("width", fallback))
-        rotations = obj.get("rotations")
-        if rotations is not None:
-            rotations = {_as_int(k): _as_int(v) for k, v in rotations.items()}
-        return GroverDatabase(width, entries, rotations)
+        return GroverDatabase(width, entries, obj.get("rotations"))

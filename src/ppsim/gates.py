@@ -165,8 +165,16 @@ def _degrees(node: Node) -> tuple[int, int]:
     return (1, 1)
 
 
+class _Array:
+    """Base of every array class: `run`, the list API over `_run_slab`."""
+
+    def run(self, inputs: list[ClassicalField]) -> list[ClassicalField]:
+        """Propagate input fields through the array; outputs by index."""
+        return _fields_of(self._run_slab(_field_slab(inputs, self.input_count)))
+
+
 @dataclass(eq=False)
-class GateArray:
+class GateArray(_Array):
     """Directed acyclic graph of processing nodes.
 
     `nodes` maps string ids to node objects; `edges` lists (src, dst) id
@@ -236,10 +244,6 @@ class GateArray:
         """Node tally by kind name (resource accounting)."""
         counts = Counter(type(n).__name__ for n in self.nodes.values())
         return dict(sorted(counts.items()))
-
-    def run(self, inputs: list[ClassicalField]) -> list[ClassicalField]:
-        """Propagate input fields through the graph; outputs by index."""
-        return _fields_of(self._run_slab(_field_slab(inputs, self.input_count)))
 
     def _run_slab(self, slab: np.ndarray) -> np.ndarray:
         """The (N, outputs, 2) slab of outputs of an (N, inputs, 2) input slab."""
@@ -312,7 +316,7 @@ def _spell_w(n: int) -> GateArray:
     return GateArray(nodes, edges)
 
 
-class _LazyGraphArray:
+class _LazyGraphArray(_Array):
     """An array that runs without its node graph (`_run_slab`): `nodes`,
     `edges` and `node_counts()` read that graph, spelled by `_spell` as a
     validated `GateArray` on first access."""
@@ -332,10 +336,6 @@ class _LazyGraphArray:
     def node_counts(self) -> dict[str, int]:
         """Node tally by kind name of the spelled graph (resource accounting)."""
         return self._graph.node_counts()
-
-    def run(self, inputs: list[ClassicalField]) -> list[ClassicalField]:
-        """The spelled graph's outputs, byte for byte, computed by `_run_slab`."""
-        return _fields_of(self._run_slab(_field_slab(inputs, self.input_count)))
 
 
 @dataclass(eq=False)

@@ -277,6 +277,11 @@ def test_grover_database_width_follows_the_integer_rule():
     assert db.width == 8 and type(db.width) is int
 
 
+def test_grover_database_rotation_map_names_each_entry_once():
+    with pytest.raises(ValueError, match="rotation map lists entry 61 twice"):
+        GroverDatabase(8, (61, 63), {61: 1, "061": 2, 63: 3})
+
+
 def test_grover_rotation_for_non_member_is_key_error():
     for rotations in (None, {5: 2, 9: 1}):
         with pytest.raises(KeyError):

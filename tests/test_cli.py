@@ -101,6 +101,25 @@ def test_simulate_prints_powers(tmp_path, set3):
     assert len(lines) == 2
 
 
+def test_simulate_repeated_node_id_is_format_error(tmp_path, set3):
+    # the later gate C under id "g" must not silently replace gate B
+    circuit = tmp_path / "dup.json"
+    circuit.write_text(
+        '{"nodes": [{"id": "in0", "kind": "input", "index": 0},'
+        ' {"id": "g", "kind": "gate", "gate": "B"},'
+        ' {"id": "g", "kind": "gate", "gate": "C"},'
+        ' {"id": "out0", "kind": "output", "index": 0}],'
+        ' "edges": [["in0", "g"], ["g", "out0"]]}'
+    )
+    pps = tmp_path / "set.pps"
+    save_pps_set(set3, pps)
+    proc = run_cli("simulate", "--canonical", 1, "--pps", pps, "--circuit", circuit)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith(f"error: {circuit}: bad circuit file")
+    assert "node id 'g' listed twice" in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_simulate_negative_canonical_count_exits_5(tmp_path, set3):
     pps = tmp_path / "set.pps"
     save_pps_set(set3, pps)
@@ -443,6 +462,18 @@ def test_grover_entry_past_exact_float_range_is_format_error(tmp_path):
     proc = run_cli("grover", "--db", db_path, "--query", "63")
     assert proc.returncode == 3, proc.stderr
     assert "expected an integer, got 1e+300" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_grover_rotation_map_with_a_repeated_entry_is_format_error(tmp_path):
+    db_path = tmp_path / "db.json"
+    db_path.write_text(
+        '{"width": 8, "entries": [61, 63], "rotations": {"61": 1, "061": 2, "63": 3}}'
+    )
+    proc = run_cli("grover", "--db", db_path, "--query", "61")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith(f"error: {db_path}: bad database file")
+    assert "rotation map lists entry 61 twice" in proc.stderr
     assert proc.stdout == ""
 
 

@@ -1,12 +1,14 @@
-"""The slot-major field slab: the typical-state path that carries one
-(N, n, 2) array from the canonical inputs to the demodulation equals the
-list path byte for byte, compiled and W runs equal the spelled graph
-whatever the slot blocking, and the slab path keeps its memory bound."""
+"""The slot-major field slab: every pipeline carries one (N, n, 2) array
+from the canonical inputs to the demodulation, builds no field object, and
+equals the list path byte for byte; compiled and W runs equal the spelled
+graph whatever the slot blocking, and the slab path keeps its memory bound."""
 import functools
+import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,12 +17,18 @@ from ppsim import (
     ClassicalField,
     CompiledArray,
     GateArray,
+    GroverDatabase,
     PlacementTable,
+    ShorInstance,
+    SimulationError,
     build_pps_set,
     builder_for,
     canonical_inputs,
     compile_placement,
+    grover_search,
     mode_status_matrix,
+    shor_encode,
+    shor_factor,
     typical_state,
     w_array,
 )
@@ -58,6 +66,45 @@ def test_typical_state_slab_equals_the_list_path(case):
     assert ts.matrix == matrix
     # the fields are views of the one slab, not copies
     assert all(np.shares_memory(f.samples, ts.slab) for f in ts.fields)
+
+
+def _no_field(self):
+    raise AssertionError("a pipeline built a ClassicalField")
+
+
+def test_no_pipeline_builds_a_field(set4):
+    db = GroverDatabase(8, (61, 63, 117, 148))
+    with mock.patch.object(ClassicalField, "__post_init__", _no_field):
+        for kind in TYPICAL_KINDS:
+            typical_state(kind, set4)
+        assert shor_factor(ShorInstance(15, 7), set4).factors == (3, 5)
+        assert grover_search(db, 148, set4).found
+        assert not grover_search(db, 240, set4).found
+        with pytest.raises(AssertionError, match="built a ClassicalField"):
+            canonical_inputs(set4, 2)  # the list API does build them
+
+
+def test_factoring_slab_equals_the_list_path():
+    # every instance below 128 that factors, at its smallest degree and two above
+    checked = 0
+    for modulus in range(4, 128):
+        for base in range(2, modulus):
+            if math.gcd(base, modulus) != 1:
+                continue
+            inst = ShorInstance(modulus, base)
+            smallest = degree_for(inst.register_width)
+            for pset in (_set(smallest), _set(smallest + 2)):
+                try:
+                    result = shor_factor(inst, pset)
+                except SimulationError:  # no usable period: nothing to compare
+                    continue
+                array = compile_placement(shor_encode(inst, pset), pset)
+                outputs = array.run(canonical_inputs(pset, inst.register_width))
+                replay = mode_status_matrix(outputs, pset=pset)
+                assert result.matrix.raw.tobytes() == replay.raw.tobytes(), (inst, pset.degree)
+                assert result.matrix == replay
+                checked += 1
+    assert checked > 2000  # 1,092 instances factor, each at two degrees
 
 
 def test_canonical_inputs_are_views_of_the_input_slab(set4):

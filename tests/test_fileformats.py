@@ -271,6 +271,20 @@ def test_circuit_errors(tmp_path):
         load_circuit(path)
 
 
+def test_circuit_file_lists_each_node_id_once(tmp_path):
+    # a repeated id is malformed, not overwritten by its later node
+    path = tmp_path / "circuit.json"
+    nodes = [
+        {"id": "in0", "kind": "input", "index": 0},
+        {"id": "g", "kind": "gate", "gate": "B"},
+        {"id": "g", "kind": "gate", "gate": "C"},
+        {"id": "out0", "kind": "output", "index": 0},
+    ]
+    path.write_text(json.dumps({"nodes": nodes, "edges": [["in0", "g"], ["g", "out0"]]}))
+    with pytest.raises(FormatError, match=re.escape("bad circuit file (node id 'g' listed twice)")):
+        load_circuit(path)
+
+
 def test_symbolic_field_round_trip(tmp_path):
     sf = SymbolicField(mode0={1: 0.5 - 2j, 7: 1.0}, mode1={3: -1.5})
     path = tmp_path / "sym.json"
@@ -308,6 +322,17 @@ def test_grover_db_bare_list(tmp_path):
     assert db.rotations is None
     path.write_text(json.dumps({"entries": [1, 1]}))
     with pytest.raises(FormatError):
+        load_grover_db(path)
+
+
+def test_grover_db_rotation_map_names_each_entry_once(tmp_path):
+    # "61" and "061" both read as entry 61: neither silently wins
+    path = tmp_path / "db.json"
+    rotations = {"61": 1, "061": 2, "63": 3}
+    path.write_text(json.dumps({"width": 8, "entries": [61, 63], "rotations": rotations}))
+    with pytest.raises(
+        FormatError, match=re.escape("bad database file (rotation map lists entry 61 twice)")
+    ):
         load_grover_db(path)
 
 

@@ -194,7 +194,7 @@ def test_grover_witness_matches_plain_scan(monkeypatch):
     pset = build_pps_set(4)
     for grid in _random_grids():
         n = grid.field_count
-        monkeypatch.setattr(algorithms, "mode_status_matrix", lambda *a, **k: grid)
+        monkeypatch.setattr(algorithms, "_slab_matrix", lambda *a, **k: grid)
         result = grover_search(GroverDatabase(n, (0,)), 0, pset)
         plain = _plain_usable(grid.cells.tolist())
         assert result.witness == (plain[0] if plain else None)
