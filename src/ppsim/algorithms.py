@@ -236,6 +236,8 @@ class GroverDatabase:
         for x in self.entries:
             if not 0 <= x < (1 << self.width):
                 raise ValueError(f"entry {x} does not fit in {self.width} bits")
+        if not isinstance(self.rotations, dict | None):
+            raise TypeError(f"rotation map must be a dict, got {self.rotations!r}")
         if self.rotations is not None:
             rotations = {}
             for key, r in self.rotations.items():

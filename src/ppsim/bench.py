@@ -38,38 +38,35 @@ class BenchReport:
         return f"{self.label}: {self.wall_seconds * 1e3:8.2f} ms  [{parts}]"
 
 
+def _timed(label: str, array, call) -> BenchReport:
+    """Time `call()` and tally the nodes of `array`, the array it runs."""
+    start = time.perf_counter()
+    call()
+    elapsed = time.perf_counter() - start
+    return BenchReport(label, array.node_counts(), elapsed)
+
+
 def bench_typical(kind: str, n: int | None = None) -> BenchReport:
     array = builder_for(kind, n)
-    size = array.input_count
-    pset = build_pps_set(degree_for(size))
-    start = time.perf_counter()
-    typical_state(kind, pset, n)
-    elapsed = time.perf_counter() - start
-    return BenchReport(f"state({kind},n={size})", array.node_counts(), elapsed)
+    pset = build_pps_set(degree_for(array.input_count))
+    label = f"state({kind},n={array.input_count})"
+    return _timed(label, array, lambda: typical_state(kind, pset, n))
 
 
-def bench_shor(modulus: int = 15, base: int = 7) -> BenchReport:
-    inst = ShorInstance(modulus, base)
+def bench_shor() -> BenchReport:
+    inst = ShorInstance(15, 7)
     pset = build_pps_set(degree_for(inst.register_width))
     array = compile_placement(shor_encode(inst, pset), pset)
-    start = time.perf_counter()
-    shor_factor(inst, pset)
-    elapsed = time.perf_counter() - start
-    return BenchReport(f"factor({modulus},{base})", array.node_counts(), elapsed)
+    return _timed("factor(15,7)", array, lambda: shor_factor(inst, pset))
 
 
-def bench_grover(width: int = 8, entry_count: int = 13, seed: int = 0) -> BenchReport:
-    rng = np.random.default_rng(seed)
-    entries = tuple(
-        int(x) for x in rng.choice(1 << width, size=entry_count, replace=False)
-    )
-    db = GroverDatabase(width, entries)
-    pset = build_pps_set(degree_for(width))
+def bench_grover() -> BenchReport:
+    """A query for the first of 13 distinct 8-bit entries drawn at seed 0."""
+    entries = tuple(int(x) for x in np.random.default_rng(0).choice(256, 13, replace=False))
+    db = GroverDatabase(8, entries)
+    pset = build_pps_set(degree_for(8))
     array = compile_placement(_search_table(db, entries[0]), pset)
-    start = time.perf_counter()
-    grover_search(db, entries[0], pset)
-    elapsed = time.perf_counter() - start
-    return BenchReport(f"search(w={width},k={entry_count})", array.node_counts(), elapsed)
+    return _timed("search(w=8,k=13)", array, lambda: grover_search(db, entries[0], pset))
 
 
 def run_benchmarks() -> list[BenchReport]:
@@ -79,8 +76,8 @@ def run_benchmarks() -> list[BenchReport]:
         bench_typical("ghz", 3),
         bench_typical("w", 3),
         bench_typical("product", 2),
-        bench_shor(15, 7),
-        bench_grover(8, 13),
+        bench_shor(),
+        bench_grover(),
     ]
 
 

@@ -141,44 +141,32 @@ def cmd_reconstruct(args: argparse.Namespace) -> None:
             print(f"{bits} {counts[bits]}")
 
 
+def _pipeline_set(args: argparse.Namespace, width: int):
+    """The set a pipeline runs on: --degree, else the smallest that holds `width`."""
+    return build_pps_set(args.degree if args.degree is not None else degree_for(width))
+
+
+def _report(args: argparse.Namespace, record: dict, lines: list[str]) -> None:
+    """A pipeline's result: one sorted JSON object with --json, else lines."""
+    print(json.dumps(record, sort_keys=True) if args.json else "\n".join(lines))
+
+
 def cmd_shor(args: argparse.Namespace) -> None:
     inst = ShorInstance(args.modulus, args.base)
-    degree = args.degree if args.degree is not None else degree_for(inst.register_width)
-    pset = build_pps_set(degree)
-    result = shor_factor(inst, pset, tau=args.tau)
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "modulus": args.modulus,
-                    "base": args.base,
-                    "period": result.period,
-                    "factors": list(result.factors),
-                },
-                sort_keys=True,
-            )
-        )
-        return
-    print(f"period: {result.period}")
-    print(f"factors: {result.factors[0]} {result.factors[1]}")
+    result = shor_factor(inst, _pipeline_set(args, inst.register_width), tau=args.tau)
+    period, factors = result.period, list(result.factors)
+    record = dict(modulus=args.modulus, base=args.base, period=period, factors=factors)
+    _report(args, record, [f"period: {period}", "factors: {} {}".format(*factors)])
 
 
 def cmd_grover(args: argparse.Namespace) -> None:
     db = load_grover_db(args.db)
-    degree = args.degree if args.degree is not None else degree_for(db.width)
-    pset = build_pps_set(degree)
-    result = grover_search(db, args.query, pset, tau=args.tau)
-    if args.json:
-        print(
-            json.dumps(
-                {"found": result.found, "query": args.query, "witness": result.witness},
-                sort_keys=True,
-            )
-        )
-        return
-    print(f"found: {'yes' if result.found else 'no'}")
+    result = grover_search(db, args.query, _pipeline_set(args, db.width), tau=args.tau)
+    record = {"found": result.found, "query": args.query, "witness": result.witness}
+    lines = [f"found: {'yes' if result.found else 'no'}"]
     if result.witness is not None:
-        print(f"witness: {result.witness}")
+        lines.append(f"witness: {result.witness}")
+    _report(args, record, lines)
 
 
 def cmd_bench(args: argparse.Namespace) -> None:

@@ -228,10 +228,7 @@ def _slab_matrix(slab: np.ndarray, refs, tau: float) -> ModeStatusMatrix:
         )
     if carriers.shape[1] != slot_count:
         raise DimensionMismatchError("reference length differs from field length")
-    if slot_count == 1:  # einsum multiplies one-slot pairs without BLAS; keep its roundings
-        sums = np.einsum("kfm,rk->frm", slab, carriers.conj(), optimize=True)
-    else:  # one (nr, N) @ (N, nf * 2) product, read as (nf, nr, 2)
-        sums = carriers.conj() @ slab.reshape(slot_count, -1)
-        sums = sums.reshape(len(carriers), count, 2).transpose(1, 0, 2)
+    sums = carriers.conj() @ slab.reshape(slot_count, -1)  # (nr, N) @ (N, nf * 2)
+    sums = sums.reshape(len(carriers), count, 2).transpose(1, 0, 2)  # read as (nf, nr, 2)
     raw = sums / slot_count
     return ModeStatusMatrix(quantize(raw, tau), raw)

@@ -220,7 +220,7 @@ def load_matrix_cells(path) -> list[list[str]]:
         obj = _read_json(path)
         with _malformed(path, "bad matrix file", (KeyError, TypeError)):
             rows = [[str(c) for c in row] for row in obj["cells"]]
-    if not rows or any(len(row) != len(rows[0]) for row in rows):
+    if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
         raise FormatError(f"{path}: matrix rows are empty or ragged")
     return rows
 
@@ -354,17 +354,14 @@ def save_grover_db(db: GroverDatabase, path) -> None:
 
 
 def load_grover_db(path) -> GroverDatabase:
-    """Accepts the object form or a bare JSON list of integers.
+    """Accepts the object form or a bare JSON list of integers, its entries.
 
-    For a bare list the width is the bit length of the largest entry.
+    Without a width, the width is the bit length of the largest entry.
     """
     obj = _read_json(path)
     with _malformed(path, "bad database file", _CONTENT_ERRORS):
         if isinstance(obj, list):
-            entries = tuple(_as_int(x) for x in obj)
-            width = max((x.bit_length() for x in entries), default=1)
-            return GroverDatabase(max(width, 1), entries)
+            obj = {"entries": obj}
         entries = tuple(_as_int(x) for x in obj["entries"])
-        fallback = max(max((x.bit_length() for x in entries), default=1), 1)
-        width = _as_int(obj.get("width", fallback))
+        width = _as_int(obj.get("width", max([1, *(x.bit_length() for x in entries)])))
         return GroverDatabase(width, entries, obj.get("rotations"))

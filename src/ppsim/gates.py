@@ -166,7 +166,21 @@ def _degrees(node: Node) -> tuple[int, int]:
 
 
 class _Array:
-    """Base of every array class: `run`, the list API over `_run_slab`."""
+    """Base of every array class: ports from its `_ports` (inputs, outputs)
+    pair, the node tally of its `nodes`, and `run`, the list API over `_run_slab`."""
+
+    @property
+    def input_count(self) -> int:
+        return self._ports[0]
+
+    @property
+    def output_count(self) -> int:
+        return self._ports[1]
+
+    def node_counts(self) -> dict[str, int]:
+        """Node tally by kind name (resource accounting)."""
+        counts = Counter(type(n).__name__ for n in self.nodes.values())
+        return dict(sorted(counts.items()))
 
     def run(self, inputs: list[ClassicalField]) -> list[ClassicalField]:
         """Propagate input fields through the array; outputs by index."""
@@ -218,7 +232,7 @@ class GateArray(_Array):
         for kind, idx in (("input", in_idx), ("output", out_idx)):
             if sorted(idx) != list(range(len(idx))):
                 raise ValueError(f"{kind} indexes must cover 0..n-1 exactly once")
-        self._counts = (len(in_idx), len(out_idx))
+        self._ports = (len(in_idx), len(out_idx))
         # Kahn's order: a node is ready once every one of its in-edges is fed
         waiting = {nid: len(ins) for nid, ins in self._in_edges.items()}
         order = [nid for nid, count in waiting.items() if not count]
@@ -231,19 +245,6 @@ class GateArray(_Array):
         if len(order) != len(self.nodes):
             raise ValueError("array graph contains a cycle")
         self._order = tuple(order)
-
-    @property
-    def input_count(self) -> int:
-        return self._counts[0]
-
-    @property
-    def output_count(self) -> int:
-        return self._counts[1]
-
-    def node_counts(self) -> dict[str, int]:
-        """Node tally by kind name (resource accounting)."""
-        counts = Counter(type(n).__name__ for n in self.nodes.values())
-        return dict(sorted(counts.items()))
 
     def _run_slab(self, slab: np.ndarray) -> np.ndarray:
         """The (N, outputs, 2) slab of outputs of an (N, inputs, 2) input slab."""
@@ -317,9 +318,8 @@ def _spell_w(n: int) -> GateArray:
 
 
 class _LazyGraphArray(_Array):
-    """An array that runs without its node graph (`_run_slab`): `nodes`,
-    `edges` and `node_counts()` read that graph, spelled by `_spell` as a
-    validated `GateArray` on first access."""
+    """An array that runs without its node graph (`_run_slab`): `nodes` and
+    `edges` read that graph, which `_spell` spells as a `GateArray` on first access."""
 
     @functools.cached_property
     def _graph(self) -> GateArray:
@@ -333,10 +333,6 @@ class _LazyGraphArray(_Array):
     def edges(self) -> list[tuple[str, str]]:
         return self._graph.edges
 
-    def node_counts(self) -> dict[str, int]:
-        """Node tally by kind name of the spelled graph (resource accounting)."""
-        return self._graph.node_counts()
-
 
 @dataclass(eq=False)
 class WArray(_LazyGraphArray):
@@ -349,14 +345,7 @@ class WArray(_LazyGraphArray):
         self.n = _as_int(self.n)
         if self.n < 2:
             raise ValueError("need at least 2 fields")
-
-    @property
-    def input_count(self) -> int:
-        return self.n
-
-    @property
-    def output_count(self) -> int:
-        return self.n
+        self._ports = (self.n, self.n)
 
     def _spell(self) -> GateArray:
         return _spell_w(self.n)

@@ -174,14 +174,7 @@ class CompiledArray(_LazyGraphArray):
             raise ValueError("array needs at least one input and one output")
         self.taps = _tap_table(self.table.cells)
         self.taps.flags.writeable = False
-
-    @property
-    def input_count(self) -> int:
-        return self.table.size
-
-    @property
-    def output_count(self) -> int:
-        return self.table.size
+        self._ports = (self.table.size, self.table.size)
 
     def _spell(self) -> GateArray:
         return _spell_graph(self.table.size, self.taps)

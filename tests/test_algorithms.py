@@ -1,4 +1,5 @@
 """Factoring and membership-search pipelines plus typical-state wrappers."""
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -275,6 +276,12 @@ def test_grover_database_width_follows_the_integer_rule():
         GroverDatabase(True, (1,))
     db = GroverDatabase(8.0, (61,))
     assert db.width == 8 and type(db.width) is int
+
+
+@pytest.mark.parametrize("rotations", [[1, 2], "61", 61], ids=["list", "string", "int"])
+def test_grover_database_rotation_map_must_be_a_dict(rotations):
+    with pytest.raises(TypeError, match=re.escape(f"got {rotations!r}")):
+        GroverDatabase(8, (61, 63), rotations)
 
 
 def test_grover_database_rotation_map_names_each_entry_once():

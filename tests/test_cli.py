@@ -274,6 +274,22 @@ def test_grover_bare_list_database(tmp_path):
     assert json.loads(proc.stdout)["found"] is True
 
 
+def test_grover_rotation_map_not_an_object_exits_3(tmp_path):
+    db_path = tmp_path / "db.json"
+    db_path.write_text(json.dumps({"width": 8, "entries": [61, 63], "rotations": [1, 2]}))
+    proc = run_cli("grover", "--db", db_path, "--query", "61")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith(f"error: {db_path}: bad database file")
+
+
+def test_reconstruct_empty_matrix_rows_exit_3(tmp_path):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"cells": [[]]}))
+    proc = run_cli("reconstruct", "--matrix", matrix)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == f"error: {matrix}: matrix rows are empty or ragged\n"
+
+
 def test_missing_file_exit_code(tmp_path):
     proc = run_cli("demod", "--fields", tmp_path / "nope.json", "--pps", tmp_path / "x")
     assert proc.returncode == 3

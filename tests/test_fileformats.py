@@ -325,6 +325,13 @@ def test_grover_db_bare_list(tmp_path):
         load_grover_db(path)
 
 
+def test_matrix_file_with_empty_rows_is_format_error(tmp_path):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"cells": [[]]}))
+    with pytest.raises(FormatError, match=re.escape(f"{path}: matrix rows are empty or ragged")):
+        load_matrix(path)
+
+
 def test_grover_db_rotation_map_names_each_entry_once(tmp_path):
     # "61" and "061" both read as entry 61: neither silently wins
     path = tmp_path / "db.json"

@@ -10,11 +10,13 @@ from ppsim import (
     Combine,
     DimensionMismatchError,
     GateArray,
+    GroverDatabase,
     Input,
     ModeGate,
     Output,
     PhaseFlip,
     PlacementTable,
+    ShorInstance,
     Split,
     Unitary,
     apply_mode_gate,
@@ -24,14 +26,18 @@ from ppsim import (
     compile_placement,
     format_cell,
     ghz_array,
+    load_circuit,
     make_single_pps_field,
     mode_status_matrix,
     parse_cell,
     product_array,
     reconstruct,
+    save_circuit,
+    shor_encode,
     typical_state,
     w_array,
 )
+from ppsim.algorithms import _search_table
 from ppsim.fixtures import typical_reference
 
 
@@ -388,3 +394,20 @@ def test_run_output_does_not_alias_input(set3):
     (out,) = array.run([fld])
     assert np.array_equal(out.samples, fld.samples)
     assert not np.shares_memory(out.samples, fld.samples)
+
+
+def test_every_array_kind_reports_the_ports_and_tally_of_its_graph(set4, tmp_path):
+    db = GroverDatabase(4, (3, 5, 12))
+    save_circuit(bell_array("psi-"), tmp_path / "bell.json")
+    arrays = [w_array(n) for n in range(2, 7)] + [
+        product_array(3),
+        *(bell_array(v) for v in BELL_VARIANTS),
+        ghz_array(4),
+        compile_placement(shor_encode(ShorInstance(15, 7), set4), set4),
+        compile_placement(_search_table(db, 5), set4),
+        load_circuit(tmp_path / "bell.json"),
+    ]
+    for array in arrays:
+        graph = GateArray(array.nodes, array.edges)
+        assert (array.input_count, array.output_count) == (graph.input_count, graph.output_count)
+        assert array.node_counts() == graph.node_counts()
