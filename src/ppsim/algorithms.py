@@ -104,10 +104,7 @@ def shor_encode(inst: ShorInstance, pset: PpsSet) -> PlacementTable:
     touched on both modes reads (1, 1).
     """
     n = inst.register_width
-    if n > pset.usable_count:
-        raise DimensionMismatchError(
-            f"instance needs {n} sequences, set provides {pset.usable_count}"
-        )
+    pset._need("instance", n)
     powers = [1]  # f(0), ..., f(r - 1)
     while (value := powers[-1] * inst.base % inst.modulus) != 1:
         if len(powers) == n:
@@ -174,15 +171,11 @@ def shor_factor(
     """
     matrix = _run_stage(compile_placement(shor_encode(inst, pset), pset), pset, tau)[1]
     period = _period_from_grid(matrix, inst.f_bits)
-    if period % 2:
-        raise PeriodUnusableError("period unusable, retry with different a")
     half = pow(inst.base, period // 2, inst.modulus)
-    low = math.gcd(half - 1, inst.modulus)
-    high = math.gcd(half + 1, inst.modulus)
-    factors = tuple(sorted((low, high)))
-    if factors[0] <= 1 or factors[1] >= inst.modulus:
+    low, high = sorted((math.gcd(half - 1, inst.modulus), math.gcd(half + 1, inst.modulus)))
+    if period % 2 or low <= 1 or high >= inst.modulus:
         raise PeriodUnusableError("period unusable, retry with different a")
-    return ShorResult(factors, period, matrix)
+    return ShorResult((low, high), period, matrix)
 
 
 def _run_stage(
@@ -194,21 +187,12 @@ def _run_stage(
 
     tau must first be a threshold at all (`quantize`'s rule). A placed
     cell demodulates to exactly +-1 under pi, so a tau above 1 would call
-    every cell empty: it is refused. So is a set whose distinct references
-    correlate. Two distinct sequences differ on half their units, a quarter
-    each way, so their carriers correlate to g = (1 + cos phi)/2 under
-    mapping phase phi. Only g = 0 (pi) lets each cell's raw read its own
-    sequence alone; any other g leaks every occupied cell into the rest of
-    its row.
+    every cell empty: it is refused. A set whose distinct references
+    correlate is refused by the demodulation (`_slab_matrix`).
     """
     _check_tau(tau)
     if tau > 1:
         raise ValueError(f"threshold tau must be at most 1, got {tau!r}")
-    if g := (1 + math.cos(pset.mapping_phase)) / 2:
-        raise ValueError(
-            f"mapping phase {pset.mapping_phase!r} correlates distinct sequences"
-            f" (g = {g:.3g}); the pipelines need the orthogonal pi mapping"
-        )
     slab = array._run_slab(_input_slab(pset, array.input_count))
     return slab, _slab_matrix(slab, pset, tau)
 

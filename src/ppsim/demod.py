@@ -193,7 +193,8 @@ def mode_status_matrix(
 
     Give exactly one reference source: `refs`, carrier rows such as
     `pset.sequence(j)` (a list or a 2-D array), or `pset`, a sequence set
-    whose references 1..len(fields) are used (the canonical square matrix).
+    whose references 1..len(fields) are used (the canonical square matrix);
+    a set whose mapping correlates distinct sequences is refused.
     """
     if refs is not None and pset is not None:
         raise TypeError("pass refs or pset, not both")
@@ -207,12 +208,21 @@ def mode_status_matrix(
 
 def _slab_matrix(slab: np.ndarray, refs, tau: float) -> ModeStatusMatrix:
     """Status matrix of an (N, n, 2) field slab against carrier rows `refs`,
-    or against references 1..n of `refs` if it is a sequence set."""
+    or against references 1..n of `refs` if it is a sequence set.
+
+    A set is refused unless its distinct references are orthogonal. Two
+    distinct sequences differ on half their units, a quarter each way, so
+    their carriers correlate to g = (1 + cos phi)/2 under mapping phase phi.
+    Only g = 0 (pi) lets each cell's raw read its own sequence alone; any
+    other g leaks every occupied cell into the rest of its row.
+    """
     slot_count, count = slab.shape[:2]
     if isinstance(refs, PpsSet):
-        if count > refs.usable_count:
-            raise DimensionMismatchError(
-                f"{count} fields but set has {refs.usable_count} usable references"
+        refs._need("demodulation", count)
+        if g := (1 + math.cos(refs.mapping_phase)) / 2:
+            raise ValueError(
+                f"mapping phase {refs.mapping_phase!r} correlates distinct sequences"
+                f" (g = {g:.3g}); demodulation against a set needs the orthogonal pi mapping"
             )
         carriers = bit_carriers(refs._rows(np.arange(1, count + 1)), refs.mapping_phase)
     else:

@@ -62,10 +62,7 @@ def _input_slab(pset: PpsSet, n: int) -> np.ndarray:
     n = _as_int(n)
     if n < 0:
         raise ValueError(f"field count must be nonnegative, got {n}")
-    if n > pset.usable_count:
-        raise DimensionMismatchError(
-            f"{n} fields requested but set has {pset.usable_count} usable sequences"
-        )
+    pset._need("canonical input", n)
     bits = np.repeat(pset._rows(np.arange(1, n + 1)).T[:, :, None], 2, axis=2)  # both modes
     return bit_carriers(bits, pset.mapping_phase)
 

@@ -219,7 +219,10 @@ def load_matrix_cells(path) -> list[list[str]]:
     else:
         obj = _read_json(path)
         with _malformed(path, "bad matrix file", (KeyError, TypeError)):
-            rows = [[str(c) for c in row] for row in obj["cells"]]
+            cells = obj["cells"]
+            if not isinstance(cells, list) or not all(isinstance(row, list) for row in cells):
+                raise TypeError("cells must be a list of rows, each a list")
+            rows = [[str(c) for c in row] for row in cells]
     if not rows or not rows[0] or any(len(row) != len(rows[0]) for row in rows):
         raise FormatError(f"{path}: matrix rows are empty or ragged")
     return rows

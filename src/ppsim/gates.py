@@ -40,23 +40,21 @@ def apply_mode_gate(fld: ClassicalField, kind: str) -> ClassicalField:
 
 
 @dataclass(frozen=True)
-class Input:
+class _Port:
+    """Array port numbered `index` (0-based)."""
+
+    index: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", _as_int(self.index))
+
+
+class Input(_Port):
     """Array entry point carrying external field `index` (0-based)."""
 
-    index: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "index", _as_int(self.index))
-
-
-@dataclass(frozen=True)
-class Output:
+class Output(_Port):
     """Array exit point delivering result field `index` (0-based)."""
-
-    index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "index", _as_int(self.index))
 
 
 @dataclass(frozen=True)

@@ -79,10 +79,7 @@ def compile_placement(table: PlacementTable, pset: PpsSet) -> CompiledArray:
     placement table; adopt its signs with `PlacementTable.from_status_matrix`.
     """
     array = CompiledArray(table)
-    if array.input_count > pset.usable_count:
-        raise DimensionMismatchError(
-            f"table needs {array.input_count} sequences, set provides {pset.usable_count}"
-        )
+    pset._need("table", array.input_count)
     return array
 
 

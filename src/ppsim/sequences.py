@@ -180,6 +180,13 @@ class PpsSet:
         """Sequences available for fields: all but the all-zero sequence 0."""
         return self.length - 1
 
+    def _need(self, what: str, count: int) -> None:
+        """Refuse `what` if its `count` sequences exceed the usable ones."""
+        if count > self.usable_count:
+            raise DimensionMismatchError(
+                f"{what} needs {count} sequences, set provides {self.usable_count}"
+            )
+
     @property
     def bit_rows(self) -> np.ndarray:
         """(N, N) uint8 bits, row j holds lambda^(j); built per access."""

@@ -10,6 +10,7 @@ from ppsim import (
     build_pps_set,
     bell_array,
     canonical_inputs,
+    ghz_array,
     load_fields,
     load_matrix,
     load_pps_set,
@@ -288,6 +289,34 @@ def test_reconstruct_empty_matrix_rows_exit_3(tmp_path):
     proc = run_cli("reconstruct", "--matrix", matrix)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr == f"error: {matrix}: matrix rows are empty or ragged\n"
+
+
+@pytest.mark.parametrize("cells", [["00", "00"], "0000"])
+def test_reconstruct_string_rows_exit_3(tmp_path, cells):
+    # ["00", "00"] printed "state: 0" with exit 0; "0000" exited 4 as a 4x1 matrix
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(json.dumps({"cells": cells}))
+    proc = run_cli("reconstruct", "--matrix", matrix)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: {matrix}: bad matrix file")
+
+
+def test_demod_refuses_a_correlated_set(tmp_path):
+    # GHZ-3 on a degree-4 pi/2 set went through demod and reconstruct as all 8 kets
+    pps, circuit = tmp_path / "half4.pps", tmp_path / "ghz3.json"
+    fields, matrix = tmp_path / "fields.json", tmp_path / "matrix.json"
+    save_pps_set(build_pps_set(4, mapping_phase="pi/2"), pps)
+    save_circuit(ghz_array(3), circuit)
+    sim = run_cli(
+        "simulate", "--canonical", "3", "--pps", pps, "--circuit", circuit, "--dump-fields", fields
+    )
+    assert sim.returncode == 0, sim.stderr
+    dem = run_cli("demod", "--fields", fields, "--pps", pps, "--out", matrix)
+    assert dem.returncode == 5, dem.stderr
+    assert dem.stdout == ""
+    assert "mapping phase" in dem.stderr
+    assert not matrix.exists()
 
 
 def test_missing_file_exit_code(tmp_path):

@@ -9,15 +9,21 @@ from ppsim import (
     DimensionMismatchError,
     ModeStatus,
     ModeStatusMatrix,
+    PlacementTable,
+    ShorInstance,
     bell_array,
+    build_pps_set,
     canonical_inputs,
+    compile_placement,
     correlate,
     demodulate_mode,
     format_cell,
     make_single_pps_field,
     mode_status,
+    ghz_array,
     mode_status_matrix,
     quantize,
+    shor_encode,
 )
 
 
@@ -256,3 +262,32 @@ def test_bool_threshold_rejected(set3, set4, tau):
     with pytest.raises(ValueError, match="threshold tau"):
         grover_search(GroverDatabase(3, [5], {5: 1}), 5, set3, tau=tau)
     assert quantize(0.7, 1) == 0 and quantize(0.7, np.float64(0.5)) == 1
+
+
+def test_set_demodulation_refuses_a_correlated_set(set4):
+    # under pi/2, GHZ-3 on this list path read as all 8 kets
+    for mapping in ("pi/2", 0.75, 1.0):
+        pset = build_pps_set(4, mapping_phase=mapping)
+        fields = ghz_array(3).run(canonical_inputs(pset, 3))
+        with pytest.raises(ValueError, match="mapping phase"):
+            mode_status_matrix(fields, pset=pset)
+    near = build_pps_set(4, mapping_phase=np.nextafter(np.pi, 4))
+    assert near.mapping_phase != np.pi  # its cosine is still exactly -1
+    matrix = mode_status_matrix(ghz_array(3).run(canonical_inputs(near, 3)), pset=near)
+    assert matrix == mode_status_matrix(ghz_array(3).run(canonical_inputs(set4, 3)), pset=set4)
+
+
+def test_every_sequence_count_is_refused_in_one_form(set3):
+    small = build_pps_set(2)  # 3 usable sequences
+    fields = canonical_inputs(set3, 1) * 8
+    table = PlacementTable(np.zeros((4, 4, 2), dtype=np.int8))
+    calls = [
+        ("instance needs 8 sequences, set provides 3", lambda: shor_encode(ShorInstance(15, 7), small)),
+        ("table needs 4 sequences, set provides 3", lambda: compile_placement(table, small)),
+        ("canonical input needs 8 sequences, set provides 7", lambda: canonical_inputs(set3, 8)),
+        ("demodulation needs 8 sequences, set provides 7", lambda: mode_status_matrix(fields, pset=set3)),
+    ]
+    for message, call in calls:
+        with pytest.raises(DimensionMismatchError) as info:
+            call()
+        assert str(info.value) == message

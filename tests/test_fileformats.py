@@ -149,6 +149,15 @@ def test_matrix_file_errors(tmp_path):
         load_matrix(path)
 
 
+@pytest.mark.parametrize("cells", [["00", "00"], "0000"])
+def test_matrix_cells_must_be_a_list_of_lists(tmp_path, cells):
+    # ["00", "00"] loaded as a 2x2 grid of empty cells, "0000" as a 4x1 one
+    path = tmp_path / "strings.json"
+    path.write_text(json.dumps({"cells": cells}))
+    with pytest.raises(FormatError, match="bad matrix file"):
+        load_matrix(path)
+
+
 def test_placement_round_trip(tmp_path):
     ref = factoring_reference()
     for name in ("p.json", "p.csv"):
